@@ -1,15 +1,17 @@
 """Perf bench: rank-vectorized data-parallel training vs the per-rank loop.
 
 Times the data-parallel hot path at two granularities — a full
-``DataParallelTrainer.fit`` step (loop vs batched ``rank_mode``) at
-n ∈ {2, 4, 8} ranks, and the ring allreduce alone (chunked-list
-reference vs the flat-buffer :class:`RingReducer`) — and writes the
-before/after medians to ``BENCH_dataparallel.json`` at the repo root.
+``DataParallelTrainer.fit`` step (the per-rank ``loop_fit`` reference vs
+the trainer's batched step) at n ∈ {2, 4, 8} ranks, and the ring
+allreduce alone (chunked-list reference vs the flat-buffer
+:class:`RingReducer`) — and writes the before/after medians to
+``BENCH_dataparallel.json`` at the repo root.
 
 Timings are recorded, never asserted.  The only way this bench fails is
-the numerical equivalence gate: the batched mode must reproduce the
-loop mode's losses and final weights to 1e-10, and the flat ring must
-match the chunked reference on the benched gradient shapes.
+the numerical equivalence gate: the trainer must reproduce the loop
+reference's losses and final weights to 1e-10, and the flat ring must
+match the chunked reference on the benched gradient shapes.  The
+references are imported from ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -19,15 +21,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dataparallel import (
-    DataParallelTrainer,
-    RingReducer,
-    flatten_gradients,
-    ring_allreduce_reference,
-)
+from repro.dataparallel import DataParallelTrainer, RingReducer
 from repro.nn import GraphNetwork
 from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import ArchitectureSpace
+
+from tests.reference import flatten_gradients, loop_fit, ring_allreduce_reference
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 N_FEATURES = 54
@@ -51,14 +50,19 @@ def _make_data(seed: int = 1, n_train: int = 8192, n_val: int = 512):
     return X[:n_train], y[:n_train], X[n_train:], y[n_train:]
 
 
-def _fit(num_ranks: int, rank_mode: str, model_seed: int = 3, data=None):
+def _fit(num_ranks: int, path: str, model_seed: int = 3, data=None):
+    """Train with the trainer (``path="batched"``) or the ``loop_fit`` reference."""
     X, y, Xv, yv = data
     model = _make_model(model_seed)
     trainer = DataParallelTrainer(
         num_ranks=num_ranks, epochs=EPOCHS, batch_size=BATCH,
-        learning_rate=0.005, allreduce="ring", rank_mode=rank_mode,
+        learning_rate=0.005, allreduce="ring",
     )
-    result = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    if path == "batched":
+        result = trainer.fit(model, X, y, Xv, yv, rng)
+    else:
+        result = loop_fit(trainer, model, X, y, Xv, yv, rng)
     return model, result
 
 

@@ -7,8 +7,9 @@ path under fixed seeds, writing before/after medians to
 ``BENCH_surrogate.json`` at the repo root.
 
 Timings are recorded, never asserted.  The bench fails only on the
-equivalence gates: presort on/off must grow identical trees, and the
-batched predict must match the recursive reference bit for bit.
+equivalence gates: the presorted tree must match the per-node argsort
+tree, and the batched predict must match the recursive reference bit for
+bit.  The references are imported from ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ import numpy as np
 import pytest
 
 from repro.bo import BayesianOptimizer
+from repro.bo import optimizer as optimizer_module
 from repro.bo.forest import RandomForestRegressor, RegressionTree
 from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import default_dataparallel_space
+
+from tests.reference import ArgsortForest, ArgsortTree, forest_predict_reference
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 N_TREES = 25
@@ -42,8 +46,8 @@ def test_perf_forest_and_ask():
     Xq = np.random.default_rng(1).standard_normal((N_CANDIDATES, N_FEATURES))
 
     # --- equivalence gates (the only assertions in this bench) --------- #
-    tree_fast = RegressionTree(max_depth=10, presort=True).fit(X, y, np.random.default_rng(2))
-    tree_ref = RegressionTree(max_depth=10, presort=False).fit(X, y, np.random.default_rng(2))
+    tree_fast = RegressionTree(max_depth=10).fit(X, y, np.random.default_rng(2))
+    tree_ref = ArgsortTree(max_depth=10).fit(X, y, np.random.default_rng(2))
     assert np.array_equal(tree_fast.feature_, tree_ref.feature_)
     assert np.array_equal(tree_fast.threshold_, tree_ref.threshold_)
     assert np.array_equal(tree_fast.value_, tree_ref.value_)
@@ -52,20 +56,18 @@ def test_perf_forest_and_ask():
         X, y, np.random.default_rng(3)
     )
     mu, sigma = forest.predict(Xq)
-    mu_ref, sigma_ref = forest.predict_reference(Xq)
+    mu_ref, sigma_ref = forest_predict_reference(forest, Xq)
     assert np.array_equal(mu, mu_ref) and np.array_equal(sigma, sigma_ref)
 
     # --- forest fit: presorted caches vs per-node argsort -------------- #
-    def fit_forest(presort: bool):
-        RandomForestRegressor(n_trees=N_TREES, max_depth=10, presort=presort).fit(
-            X, y, np.random.default_rng(3)
-        )
+    def fit_forest(forest_cls):
+        forest_cls(n_trees=N_TREES, max_depth=10).fit(X, y, np.random.default_rng(3))
 
     entries = [
         BenchEntry(
             "forest_fit",
-            median_time(lambda: fit_forest(False)),
-            median_time(lambda: fit_forest(True)),
+            median_time(lambda: fit_forest(ArgsortForest)),
+            median_time(lambda: fit_forest(RandomForestRegressor)),
             meta={"n_trees": N_TREES, "rows": N_OBSERVATIONS},
         )
     ]
@@ -74,7 +76,7 @@ def test_perf_forest_and_ask():
     entries.append(
         BenchEntry(
             "forest_predict",
-            median_time(lambda: forest.predict_reference(Xq), repeats=3),
+            median_time(lambda: forest_predict_reference(forest, Xq), repeats=3),
             median_time(lambda: forest.predict(Xq)),
             meta={"n_trees": N_TREES, "candidates": N_CANDIDATES},
         )
@@ -86,20 +88,22 @@ def test_perf_forest_and_ask():
     configs = [space.sample(cfg_rng) for _ in range(20)]
     values = list(np.random.default_rng(5).random(20))
 
-    def ask_batch(presort: bool):
-        opt = BayesianOptimizer(
-            space,
-            seed=6,
-            forest=RandomForestRegressor(n_trees=N_TREES, max_depth=10, presort=presort),
-        )
-        opt.tell(configs, values)
-        opt.ask(4)
+    def ask_batch(forest_cls):
+        # The optimizer refits a fresh RandomForestRegressor on every ask;
+        # the reference side swaps in the argsort forest for the call.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimizer_module, "RandomForestRegressor", forest_cls)
+            opt = BayesianOptimizer(
+                space, seed=6, forest=forest_cls(n_trees=N_TREES, max_depth=10)
+            )
+            opt.tell(configs, values)
+            opt.ask(4)
 
     entries.append(
         BenchEntry(
             "bo_ask_batch4",
-            median_time(lambda: ask_batch(False), repeats=3),
-            median_time(lambda: ask_batch(True), repeats=3),
+            median_time(lambda: ask_batch(ArgsortForest), repeats=3),
+            median_time(lambda: ask_batch(RandomForestRegressor), repeats=3),
             meta={"observations": 20, "batch": 4, "pool": 500},
         )
     )

@@ -7,7 +7,8 @@ before/after medians to ``BENCH_train.json`` at the repo root.
 
 Timings are recorded, never asserted.  The only way this bench fails is
 the numerical equivalence gate: the compiled plan must reproduce the
-eager loss and gradients to 1e-10 on the benched network.
+eager loss and gradients to 1e-10 on the benched network.  The gate is
+imported from ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ from repro.core import ModelEvaluation
 from repro.core.config import ModelConfig
 from repro.datasets import load_dataset
 from repro.nn import Adam, GraphNetwork, Tensor, softmax_cross_entropy
-from repro.nn.compiled import assert_plan_equivalence
 from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import ArchitectureSpace
+
+from tests.reference import assert_plan_equivalence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BATCH = 256

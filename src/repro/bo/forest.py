@@ -7,23 +7,23 @@ asynchronous HPO), so both paths avoid per-row Python work.
 
 ``fit`` evaluates every threshold of a feature in one pass using cumulative
 sums of ``y`` and ``y²`` over the sorted column (variance reduction in
-O(n) per feature per node).  Columns are argsorted **once** per tree; the
-sorted index cache is partitioned into the child nodes with a boolean
-compress at every split, so no node below the root pays an argsort.  The
-partition is stable, which keeps the chosen splits bit-identical to the
-naive re-sorting reference (``presort=False``).
+O(n) per feature per node).  When every split considers every feature (the
+BO spaces, which have a handful of dimensions), columns are argsorted
+**once** per tree and the sorted index cache is partitioned into the child
+nodes at every split, so no node below the root pays an argsort; otherwise
+each node argsorts the columns it samples.  The partition is stable, which
+keeps the chosen splits bit-identical between the two.
 
 After ``fit`` the tree's node lists freeze into contiguous numpy arrays
 (:meth:`RegressionTree._finalize`) and ``predict`` is an iterative,
 fully-vectorized level-walk routing all candidate rows at once.  The
 forest stacks every tree's frozen arrays into one node table so
 :meth:`RandomForestRegressor.predict` walks **all trees × all candidates**
-simultaneously — no per-tree Python loop on the BO ``ask`` hot path.  The
-per-row Python recursion (:meth:`RegressionTree.predict_recursive`) is
-kept as the reference implementation for equivalence tests and the perf
-harness.  ``predict`` returns per-candidate mean and standard deviation
-across trees, which is exactly the (μ, σ) pair skopt's forest surrogate
-feeds into UCB.
+simultaneously — no per-tree Python loop on the BO ``ask`` hot path.
+Both walks are gated against a per-row recursive reference in
+``tests/reference/``.  ``predict`` returns per-candidate mean and standard
+deviation across trees, which is exactly the (μ, σ) pair skopt's forest
+surrogate feeds into UCB.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ class RegressionTree:
         Nodes with fewer samples become leaves.
     max_features:
         Number of candidate features per split; ``None`` uses all.
-    presort:
-        Reuse one stable argsort of every column across all depths
-        (default).  ``False`` re-argsorts each node's rows per feature —
-        the slow reference path; both produce identical trees.
     """
 
     def __init__(
@@ -55,7 +51,6 @@ class RegressionTree:
         max_depth: int = 12,
         min_samples_split: int = 4,
         max_features: int | None = None,
-        presort: bool = True,
     ) -> None:
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -64,7 +59,6 @@ class RegressionTree:
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.max_features = max_features
-        self.presort = presort
         # Flat node arrays, appended during fit, frozen by _finalize().
         self._feature: list[int] = []
         self._threshold: list[float] = []
@@ -91,10 +85,10 @@ class RegressionTree:
         self._left.clear()
         self._right.clear()
         self._value.clear()
-        if self.presort and (self.max_features is None or self.max_features >= X.shape[1]):
+        if self.max_features is None or self.max_features >= X.shape[1]:
             # One stable argsort per column; children inherit partitions.
             # Cache upkeep scales with the full feature count while the
-            # benefit scales with features-per-split, so presort only pays
+            # benefit scales with features-per-split, so the cache only pays
             # when splits consider every column (true for the BO spaces,
             # which have a handful of dimensions).
             sorted_idx = np.argsort(X, axis=0, kind="stable")
@@ -196,7 +190,7 @@ class RegressionTree:
         rng: np.random.Generator,
     ) -> tuple[int, float] | None:
         if sorted_idx is not None:
-            return self._best_split_presorted(X, y, y_node, sorted_idx, rng)
+            return self._best_split_sorted(X, y, y_node, sorted_idx, rng)
         n_features = X.shape[1]
         k = n_features if self.max_features is None else min(self.max_features, n_features)
         features = rng.choice(n_features, size=k, replace=False)
@@ -234,7 +228,7 @@ class RegressionTree:
                 best = (int(f), float(0.5 * (xs[pos] + xs[pos + 1])))
         return best
 
-    def _best_split_presorted(
+    def _best_split_sorted(
         self,
         X: np.ndarray,
         y: np.ndarray,
@@ -299,23 +293,6 @@ class RegressionTree:
             active = feature[nodes] >= 0
         return self.value_[nodes]
 
-    def predict_recursive(self, X: np.ndarray) -> np.ndarray:
-        """Per-row Python recursion — the reference the vectorized walks
-        must match bit-for-bit (kept for tests and the perf harness)."""
-        X = np.asarray(X, dtype=float)
-        if self.value_ is None or self.value_.size == 0:
-            raise RuntimeError("tree is not fitted")
-
-        def walk(node: int, row: np.ndarray) -> float:
-            while self.feature_[node] >= 0:
-                if row[self.feature_[node]] <= self.threshold_[node]:
-                    node = self.left_[node]
-                else:
-                    node = self.right_[node]
-            return float(self.value_[node])
-
-        return np.array([walk(0, row) for row in X])
-
     @property
     def node_count(self) -> int:
         return len(self._value)
@@ -331,7 +308,6 @@ class RandomForestRegressor:
         min_samples_split: int = 4,
         max_features: int | None = None,
         bootstrap: bool = True,
-        presort: bool = True,
     ) -> None:
         if n_trees < 1:
             raise ValueError("n_trees must be >= 1")
@@ -340,7 +316,6 @@ class RandomForestRegressor:
         self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.presort = presort
         self._trees: list[RegressionTree] = []
         # Concatenated node table over all trees (built post-fit).
         self._ens_feature: np.ndarray | None = None
@@ -362,9 +337,7 @@ class RandomForestRegressor:
             max_features = X.shape[1] if X.shape[1] <= 3 else max(1, int(np.sqrt(X.shape[1])))
         self._trees = []
         for _ in range(self.n_trees):
-            tree = RegressionTree(
-                self.max_depth, self.min_samples_split, max_features, presort=self.presort
-            )
+            tree = RegressionTree(self.max_depth, self.min_samples_split, max_features)
             if self.bootstrap and n > 1:
                 sample = rng.integers(0, n, size=n)
                 tree.fit(X[sample], y[sample], rng)
@@ -418,11 +391,4 @@ class RandomForestRegressor:
             nodes[active] = np.where(go_left, left[cur], right[cur])
             active = feature[nodes] >= 0
         preds = self._ens_value[nodes].reshape(t, n)
-        return preds.mean(axis=0), preds.std(axis=0)
-
-    def predict_reference(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-tree, per-row recursive reference (tests / perf harness)."""
-        if not self._trees:
-            raise RuntimeError("forest is not fitted")
-        preds = np.stack([t.predict_recursive(X) for t in self._trees])
         return preds.mean(axis=0), preds.std(axis=0)

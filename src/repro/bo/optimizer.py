@@ -154,7 +154,6 @@ class BayesianOptimizer:
             min_samples_split=self._forest_proto.min_samples_split,
             max_features=self._forest_proto.max_features,
             bootstrap=self._forest_proto.bootstrap,
-            presort=self._forest_proto.presort,
         )
         forest.fit(X, y, self._rng)
         return forest

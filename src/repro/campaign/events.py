@@ -157,10 +157,10 @@ class BOTellAsk(CampaignEvent):
 class EpochEnd(CampaignEvent):
     """One training epoch finished inside an evaluation.
 
-    ``ring_bytes_per_rank`` is the simulated ring-allreduce payload each
-    rank shipped during the epoch's training steps (0 when the reduction
-    is not a ring or runs single-rank), from
-    :func:`repro.dataparallel.allreduce.ring_transfer_stats`.
+    ``ring_bytes_per_rank`` is the analytic payload each rank ships in
+    one ring allreduce of the model's gradient,
+    :func:`repro.dataparallel.allreduce.ring_transfer_stats`, reported in
+    every allreduce mode (0 on a single rank).
     """
 
     epoch: int

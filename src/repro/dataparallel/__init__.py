@@ -13,41 +13,19 @@ genuinely; only wall-clock time is replaced by the analytic cost model in
 from repro.dataparallel.sharding import shard_indices
 from repro.dataparallel.allreduce import (
     RingReducer,
-    allreduce_mean,
     allreduce_mean_flat,
-    flatten_gradients,
-    gradient_segments,
-    ring_allreduce,
-    ring_allreduce_reference,
     ring_transfer_stats,
 )
 from repro.dataparallel.scaling import linear_scaled_batch_size, linear_scaled_lr
 from repro.dataparallel.trainer import DataParallelTrainer
 from repro.dataparallel.costmodel import TrainingCostModel
 from repro.dataparallel.multinode import MultiNodeCostModel
-from repro.dataparallel.compression import (
-    FlatTopKCompressor,
-    TopKCompressor,
-    compressed_allreduce_mean,
-    compressed_allreduce_mean_flat,
-    compressed_transfer_bytes,
-)
 
 __all__ = [
-    "FlatTopKCompressor",
     "MultiNodeCostModel",
     "RingReducer",
-    "TopKCompressor",
-    "compressed_allreduce_mean",
-    "compressed_allreduce_mean_flat",
-    "compressed_transfer_bytes",
     "shard_indices",
-    "allreduce_mean",
     "allreduce_mean_flat",
-    "flatten_gradients",
-    "gradient_segments",
-    "ring_allreduce",
-    "ring_allreduce_reference",
     "ring_transfer_stats",
     "linear_scaled_lr",
     "linear_scaled_batch_size",

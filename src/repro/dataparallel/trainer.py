@@ -9,28 +9,23 @@ real processes — so the accuracy behaviour as a function of ``(n, lr, bs)``
 (including large-effective-batch degradation) emerges for real rather than
 being modelled.
 
-Two execution strategies produce that algebra:
+Each step takes one of three routes to that algebra, by mode and shape:
 
-- ``rank_mode="batched"`` (default, compiled backend): the ``n``
-  micro-batches are stacked into one ``(n·bs, d)`` array and a single
-  fused forward/backward recovers *per-rank* gradients directly into an
-  allreduce-ready ``(n, P)`` flat matrix
-  (:meth:`~repro.nn.compiled.CompiledPlan.loss_and_grads_ranked`); the
-  ring/mean reduction then runs as one vectorized flat-buffer kernel and
-  the reduced mean lands in the plan's double-buffered gradient views —
-  one numpy dispatch chain per step, no per-rank Python loop, no
-  defensive gradient copies.
-- ``rank_mode="loop"`` — the reference: ``n`` separate forward/backward
-  passes and the chunked-list allreduce.  The eager backend always uses
-  it, as do degenerate shards (shorter than one micro-batch) and the
-  ``fused`` allreduce (which needs no per-rank gradients at all).
+- ``allreduce="fused"`` (and any single-rank run) computes the averaged
+  gradient in one forward/backward over the concatenated global batch;
+- ``ring``/``mean`` on the compiled backend stack the ``n`` micro-batches
+  into one ``(n·bs, d)`` array, and a single fused forward/backward
+  recovers *per-rank* gradients directly into an allreduce-ready
+  ``(n, P)`` flat matrix
+  (:meth:`~repro.nn.compiled.CompiledPlan.loss_and_grads_ranked`);
+- the eager backend and shards shorter than one micro-batch have no
+  batched kernel, so each rank's gradient is written into a row of the
+  same ``(n, P)`` matrix by its own forward/backward.
 
-Both modes agree to float round-off; the equivalence gate lives in
-``tests/test_rank_vectorized.py``.
-
-A ``fused`` fast path computes the same averaged gradient in one
-forward/backward over the concatenated global batch; tests assert the two
-paths agree to float tolerance.
+The ``(n, P)`` matrix then goes through :class:`RingReducer` (``ring``)
+or :func:`allreduce_mean_flat` (``mean``), and Adam consumes the reduced
+mean through per-parameter views.  The per-rank list reference these
+paths are gated against lives in ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -39,9 +34,7 @@ import numpy as np
 
 from repro.dataparallel.allreduce import (
     RingReducer,
-    allreduce_mean,
     allreduce_mean_flat,
-    ring_allreduce_reference,
     ring_transfer_stats,
 )
 from repro.dataparallel.scaling import linear_scaled_lr
@@ -68,16 +61,7 @@ class DataParallelTrainer:
         ``lr_1``; the trainer applies the linear scaling rule internally.
     allreduce:
         ``"ring"`` runs the simulated ring (default), ``"mean"`` the
-        reference naive average, ``"fused"`` the concatenated-batch fast
-        path.
-    rank_mode:
-        ``"batched"`` (default) vectorizes the rank dimension — one fused
-        multi-rank forward/backward plus a flat-buffer reduction per step;
-        ``"loop"`` runs the reference per-rank Python loop.  The choice
-        never changes the numbers (both gated equivalent), only the speed;
-        batched silently degrades to the loop where it does not apply
-        (eager backend, ``fused`` allreduce, ``n = 1``, or shards shorter
-        than one micro-batch).
+        naive average, ``"fused"`` the concatenated-batch fast path.
     backend:
         ``"compiled"`` (default) computes per-rank gradients through the
         model's :class:`~repro.nn.compiled.CompiledPlan`; ``"eager"``
@@ -100,18 +84,17 @@ class DataParallelTrainer:
         keep_best_weights: bool = False,
         backend: str = "compiled",
         dtype=None,
-        rank_mode: str = "batched",
     ) -> None:
         if num_ranks < 1:
             raise ValueError("num_ranks must be >= 1")
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if epochs < 0:
             raise ValueError("epochs must be >= 0")
         if allreduce not in ("ring", "mean", "fused"):
             raise ValueError(f"unknown allreduce mode {allreduce!r}")
         if backend not in ("compiled", "eager"):
             raise ValueError(f"backend must be 'compiled' or 'eager', got {backend!r}")
-        if rank_mode not in ("batched", "loop"):
-            raise ValueError(f"rank_mode must be 'batched' or 'loop', got {rank_mode!r}")
         self.num_ranks = num_ranks
         self.epochs = epochs
         self.batch_size = batch_size
@@ -123,7 +106,6 @@ class DataParallelTrainer:
         self.keep_best_weights = keep_best_weights
         self.backend = backend
         self.dtype = None if dtype is None else np.dtype(dtype)
-        self.rank_mode = rank_mode
         # Optional campaign event bus; when set, fit emits one
         # repro.campaign.events.EpochEnd per epoch.
         self.event_bus = None
@@ -133,7 +115,7 @@ class DataParallelTrainer:
         epoch: int,
         train_loss: float,
         val_accuracy: float,
-        ring_bytes_per_rank: int = 0,
+        ring_bytes_per_rank: int,
     ) -> None:
         if self.event_bus is not None:
             from repro.campaign.events import EpochEnd
@@ -149,22 +131,17 @@ class DataParallelTrainer:
             )
 
     # ------------------------------------------------------------------ #
-    def _rank_gradient(
-        self, model: GraphNetwork, X: np.ndarray, y: np.ndarray, plan=None, copy: bool = True
+    def _gradient(
+        self, model: GraphNetwork, X: np.ndarray, y: np.ndarray, plan=None
     ) -> tuple[list[np.ndarray], float]:
-        """Gradient of the mean loss on one rank's micro-batch.
+        """Gradient of the mean loss on one batch.
 
         With a compiled ``plan`` the gradients land in the plan's reused
-        buffers; ``copy=True`` (needed whenever per-rank gradients are
-        collected before reduction) snapshots them, while the fused path
-        passes ``copy=False`` and consumes the buffers immediately.
+        buffers, so the caller consumes them before the next call.
         """
         if plan is not None:
             loss_value = plan.loss_and_grad(X, y)
-            grads = plan.grad_buffers
-            if copy:
-                grads = [g.copy() for g in grads]
-            return grads, loss_value
+            return plan.grad_buffers, loss_value
         params = model.parameters()
         for p in params:
             p.grad = None
@@ -201,45 +178,52 @@ class DataParallelTrainer:
         min_shard = min(len(s) for s in shards)
         steps = max(1, min_shard // self.batch_size)
         # Index hoisting only works when every rank draws full micro-batches;
-        # degenerate shards (shorter than batch_size) keep the reference
-        # per-step slicing on the raw shard orders.
+        # degenerate shards (shorter than batch_size) slice the raw shard
+        # orders per step.
         hoistable = min_shard >= self.batch_size
-        batched = (
-            self.rank_mode == "batched"
-            and plan is not None
-            and n > 1
-            and self.allreduce in ("ring", "mean")
-            and hoistable
-        )
 
         scaled_lr = (
             linear_scaled_lr(self.learning_rate, n)
             if self.apply_linear_scaling
             else self.learning_rate
         )
-        optimizer = Adam(model.parameters(), lr=scaled_lr)
+        params = model.parameters()
+        optimizer = Adam(params, lr=scaled_lr)
         warmup = GradualWarmup(optimizer, scaled_lr, self.warmup_epochs)
         plateau = ReduceLROnPlateau(optimizer, patience=self.plateau_patience)
 
-        if self.allreduce == "ring" and n > 1:
-            ring_bytes = ring_transfer_stats(
-                n, model.num_parameters() * dtype.itemsize
-            ).bytes_sent_per_rank
-        else:
-            ring_bytes = 0
+        # Analytic ring volume of one gradient allreduce, whatever the mode:
+        # the fused path computes the same averaged gradient a ring would.
+        num_params = model.num_parameters()
+        ring_bytes = ring_transfer_stats(n, num_params * dtype.itemsize).bytes_sent_per_rank
 
+        # ring/mean with several ranks reduce an (n, P) per-rank gradient
+        # matrix; the fused path (and n = 1) needs no per-rank gradients.
+        reduce = None
+        if n > 1 and self.allreduce != "fused":
+            reduce = (
+                RingReducer(n, num_params).reduce
+                if self.allreduce == "ring"
+                else allreduce_mean_flat
+            )
+            if plan is not None:
+                mean_flat, mean_views = plan.mean_grad_flat, plan.mean_grad_views
+            else:
+                mean_flat = np.empty(num_params, dtype=model.dtype)
+                bounds = np.cumsum([0] + [p.data.size for p in params])
+                mean_views = [
+                    mean_flat[lo:hi].reshape(p.data.shape)
+                    for lo, hi, p in zip(bounds[:-1], bounds[1:], params)
+                ]
+        batched = reduce is not None and plan is not None and hoistable
         if batched:
-            # Preallocated stacked micro-batch and the flat-buffer reducer;
-            # the reduced mean lands in the plan's double-buffered gradient
-            # views, which Adam consumes directly.
+            # Preallocated stacked micro-batch for the multi-rank pass.
             stacked_rows = n * self.batch_size
             Xb = np.empty((stacked_rows, X_train.shape[1]), dtype=dtype)
             yb = np.empty(stacked_rows, dtype=y_train.dtype)
-            reducer = (
-                RingReducer(n, plan.num_flat_params)
-                if self.allreduce == "ring"
-                else None
-            )
+        elif reduce is not None:
+            rank_grads = np.empty((n, num_params), dtype=model.dtype)
+            losses = np.empty(n)
 
         result = TrainResult(best_val_accuracy=-np.inf, final_val_accuracy=0.0)
         best_acc = -np.inf
@@ -258,49 +242,30 @@ class DataParallelTrainer:
             for step in range(steps):
                 lo = step * self.batch_size
                 hi = lo + self.batch_size
+                if reduce is None:
+                    if epoch_idx is not None:
+                        idx = epoch_idx[:, lo:hi].ravel()
+                    else:
+                        idx = np.concatenate([order[lo:hi] for order in orders])
+                    grads, loss = self._gradient(model, X_train[idx], y_train[idx], plan)
+                    optimizer.apply_gradients(grads)
+                    epoch_loss += loss
+                    continue
                 if batched:
                     flat_idx = epoch_idx[:, lo:hi].ravel()
                     np.take(X_train, flat_idx, axis=0, out=Xb)
                     np.take(y_train, flat_idx, axis=0, out=yb)
                     losses, rank_grads = plan.loss_and_grads_ranked(Xb, yb, n)
-                    if reducer is not None:
-                        reducer.reduce(rank_grads, out=plan.mean_grad_flat)
-                    else:
-                        allreduce_mean_flat(rank_grads, out=plan.mean_grad_flat)
-                    optimizer.apply_gradients(plan.mean_grad_views)
-                    epoch_loss += float(np.mean(losses))
-                    continue
-                if self.allreduce == "fused":
-                    if epoch_idx is not None:
-                        idx = epoch_idx[:, lo:hi].ravel()
-                    else:
-                        idx = np.concatenate([order[lo:hi] for order in orders])
-                    grads, loss = self._rank_gradient(
-                        model, X_train[idx], y_train[idx], plan, copy=False
-                    )
-                    mean_grads = grads
                 else:
-                    per_rank = []
-                    losses = []
-                    for order in orders:
+                    for r, order in enumerate(orders):
                         idx = order[lo:hi]
-                        g, loss_r = self._rank_gradient(
+                        grads, losses[r] = self._gradient(
                             model, X_train[idx], y_train[idx], plan
                         )
-                        per_rank.append(g)
-                        losses.append(loss_r)
-                    # The loop mode is the pre-vectorization reference, so it
-                    # keeps the chunked-list ring (bitwise identical to the
-                    # flat-buffer reducer; see tests/test_rank_vectorized.py).
-                    reduce_fn = (
-                        ring_allreduce_reference
-                        if self.allreduce == "ring"
-                        else allreduce_mean
-                    )
-                    mean_grads = reduce_fn(per_rank)
-                    loss = float(np.mean(losses))
-                optimizer.apply_gradients(mean_grads)
-                epoch_loss += loss
+                        np.concatenate([g.ravel() for g in grads], out=rank_grads[r])
+                reduce(rank_grads, out=mean_flat)
+                optimizer.apply_gradients(mean_views)
+                epoch_loss += float(np.mean(losses))
             mean_loss = epoch_loss / steps
             if not np.isfinite(mean_loss):
                 # Divergence guard: a too-hot scaled learning rate must

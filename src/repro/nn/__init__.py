@@ -12,12 +12,12 @@ from repro.nn.autograd import Tensor, is_grad_enabled, no_grad
 from repro.nn.activations import ACTIVATIONS, apply_activation
 from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
 from repro.nn.layers import Dense, Layer
-from repro.nn.losses import l2_regularization, softmax_cross_entropy
-from repro.nn.metrics import accuracy, top_k_accuracy
+from repro.nn.losses import softmax_cross_entropy
+from repro.nn.metrics import accuracy
 from repro.nn.optimizers import SGD, Adam, Optimizer
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
 from repro.nn.graph_network import GraphNetwork
-from repro.nn.compiled import CompiledPlan, assert_plan_equivalence
+from repro.nn.compiled import CompiledPlan
 from repro.nn.trainer import Trainer, TrainResult
 
 __all__ = [
@@ -32,9 +32,7 @@ __all__ = [
     "Dense",
     "Layer",
     "softmax_cross_entropy",
-    "l2_regularization",
     "accuracy",
-    "top_k_accuracy",
     "Optimizer",
     "SGD",
     "Adam",
@@ -42,7 +40,6 @@ __all__ = [
     "ReduceLROnPlateau",
     "GraphNetwork",
     "CompiledPlan",
-    "assert_plan_equivalence",
     "Trainer",
     "TrainResult",
 ]

@@ -303,49 +303,6 @@ class Tensor:
         out._backward = backward if out.requires_grad else None
         return out
 
-    def reciprocal(self) -> "Tensor":
-        """Elementwise ``1 / x`` (x must be nonzero)."""
-        value = 1.0 / self.data
-        out = Tensor(value, self.requires_grad, (self,))
-
-        def backward() -> None:
-            self._accumulate(-out.grad * value * value, owned=True)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def sqrt(self) -> "Tensor":
-        """Elementwise square root (x must be positive)."""
-        value = np.sqrt(self.data)
-        out = Tensor(value, self.requires_grad, (self,))
-
-        def backward() -> None:
-            self._accumulate(out.grad * 0.5 / value, owned=True)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def mean_axis0(self) -> "Tensor":
-        """Column means of a 2-D tensor (used by batch normalization)."""
-        n = self.data.shape[0]
-        out = Tensor(self.data.mean(axis=0), self.requires_grad, (self,))
-
-        def backward() -> None:
-            self._accumulate(np.broadcast_to(out.grad / n, self.data.shape))
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
-    def pow2(self) -> "Tensor":
-        """Elementwise square (used for L2 regularization)."""
-        out = Tensor(self.data * self.data, self.requires_grad, (self,))
-
-        def backward() -> None:
-            self._accumulate(out.grad * 2.0 * self.data, owned=True)
-
-        out._backward = backward if out.requires_grad else None
-        return out
-
     def log_softmax(self) -> "Tensor":
         """Row-wise log-softmax for 2-D logits, numerically stabilized."""
         shifted = self.data - self.data.max(axis=1, keepdims=True)

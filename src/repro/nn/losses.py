@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.autograd import Tensor
 
-__all__ = ["softmax_cross_entropy", "l2_regularization"]
+__all__ = ["softmax_cross_entropy"]
 
 
 def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -27,19 +27,3 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_probs = logits.log_softmax()
     picked = log_probs.gather_rows(labels.astype(np.intp))
     return -1.0 * picked.mean()
-
-
-def l2_regularization(parameters, coefficient: float) -> Tensor:
-    """``coefficient * sum_i ||p_i||^2`` over weight tensors.
-
-    Bias vectors (1-D parameters) are conventionally excluded.
-    """
-    total: Tensor | None = None
-    for p in parameters:
-        if p.ndim < 2:
-            continue
-        term = p.pow2().sum()
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return coefficient * total

@@ -102,24 +102,6 @@ def _strip_event_bus(fn: Any) -> Any:
     return clone
 
 
-def _resolve_policy(
-    fault_policy: FaultPolicy | None,
-    on_error: str | None,
-    failure_objective: float | None,
-    failure_duration: float | None,
-) -> FaultPolicy:
-    """Merge the legacy keyword surface into a FaultPolicy."""
-    policy = fault_policy or FaultPolicy()
-    overrides: dict[str, Any] = {}
-    if on_error is not None:
-        overrides["on_error"] = on_error
-    if failure_objective is not None:
-        overrides["failure_objective"] = failure_objective
-    if failure_duration is not None:
-        overrides["failure_duration"] = failure_duration
-    return dataclasses.replace(policy, **overrides) if overrides else policy
-
-
 class Evaluator:
     """Abstract manager-worker evaluator.
 
@@ -233,9 +215,8 @@ class SimulatedEvaluator(Evaluator):
     num_workers:
         W in the paper (128 on Theta; scaled down in the benches).
     fault_policy:
-        Uniform failure handling (see :class:`FaultPolicy`).  The legacy
-        ``on_error`` / ``failure_objective`` / ``failure_duration``
-        keywords override the corresponding policy fields.
+        Uniform failure handling (see :class:`FaultPolicy`); the default
+        policy penalizes failed evaluations.
     worker_failures:
         Optional ``(time_minutes, worker_id)`` pairs: the worker dies
         permanently at that simulated time; a job running on it is
@@ -263,9 +244,6 @@ class SimulatedEvaluator(Evaluator):
         self,
         run_function: RunFunction,
         num_workers: int,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         worker_failures: Iterable[tuple[float, int]] | None = None,
         cache: EvaluationCache | None = None,
@@ -275,9 +253,7 @@ class SimulatedEvaluator(Evaluator):
         self.run_function = run_function
         self.num_workers = num_workers
         self.cache = cache
-        self.fault_policy = _resolve_policy(
-            fault_policy, on_error, failure_objective, failure_duration
-        )
+        self.fault_policy = fault_policy or FaultPolicy()
         self.num_failures = 0
         self.num_retries = 0
         self.num_timeouts = 0
@@ -297,20 +273,6 @@ class SimulatedEvaluator(Evaluator):
             if not 0 <= worker < num_workers:
                 raise ValueError(f"worker_failures names unknown worker {worker}")
             self._events.push(float(fail_time), ("worker_fail", worker, 0))
-
-    # ------------------------------------------------------------------ #
-    # Legacy accessors kept for the pre-FaultPolicy API
-    @property
-    def on_error(self) -> str:
-        return self.fault_policy.on_error
-
-    @property
-    def failure_objective(self) -> float:
-        return self.fault_policy.failure_objective
-
-    @property
-    def failure_duration(self) -> float:
-        return self.fault_policy.failure_duration
 
     # ------------------------------------------------------------------ #
     @property
@@ -592,9 +554,6 @@ class _WallClockEvaluator(Evaluator):
         run_function: RunFunction,
         num_workers: int,
         measure_wall_time: bool = False,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
@@ -604,9 +563,7 @@ class _WallClockEvaluator(Evaluator):
         self.num_workers = num_workers
         self.measure_wall_time = measure_wall_time
         self.cache = cache
-        self.fault_policy = _resolve_policy(
-            fault_policy, on_error, failure_objective, failure_duration
-        )
+        self.fault_policy = fault_policy or FaultPolicy()
         self.num_failures = 0
         self.num_retries = 0
         self.num_timeouts = 0
@@ -619,18 +576,6 @@ class _WallClockEvaluator(Evaluator):
         self.jobs: list[Job] = []
 
     # ------------------------------------------------------------------ #
-    @property
-    def on_error(self) -> str:
-        return self.fault_policy.on_error
-
-    @property
-    def failure_objective(self) -> float:
-        return self.fault_policy.failure_objective
-
-    @property
-    def failure_duration(self) -> float:
-        return self.fault_policy.failure_duration
-
     @property
     def now(self) -> float:
         return (_time.perf_counter() - self._t0) / 60.0
@@ -766,9 +711,6 @@ class ThreadedEvaluator(_WallClockEvaluator):
         run_function: RunFunction,
         num_workers: int,
         measure_wall_time: bool = False,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
@@ -776,9 +718,6 @@ class ThreadedEvaluator(_WallClockEvaluator):
             run_function,
             num_workers,
             measure_wall_time=measure_wall_time,
-            on_error=on_error,
-            failure_objective=failure_objective,
-            failure_duration=failure_duration,
             fault_policy=fault_policy,
             cache=cache,
         )
@@ -933,9 +872,6 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
         run_function: RunFunction,
         num_workers: int,
         measure_wall_time: bool = False,
-        on_error: str | None = None,
-        failure_objective: float | None = None,
-        failure_duration: float | None = None,
         fault_policy: FaultPolicy | None = None,
         cache: EvaluationCache | None = None,
     ) -> None:
@@ -943,9 +879,6 @@ class ProcessPoolEvaluator(_WallClockEvaluator):
             run_function,
             num_workers,
             measure_wall_time=measure_wall_time,
-            on_error=on_error,
-            failure_objective=failure_objective,
-            failure_duration=failure_duration,
             fault_policy=fault_policy,
             cache=cache,
         )

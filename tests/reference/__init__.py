@@ -1,0 +1,37 @@
+"""Reference implementations that exist only for equivalence gates.
+
+Each production fast path in ``src/`` has one readable twin here.  The
+tests and the ``benchmarks/test_perf_*.py`` harnesses import them and
+assert the production path matches at a stated tolerance; no campaign
+runs them.
+"""
+
+from tests.reference.allreduce import (
+    allreduce_mean,
+    flatten_gradients,
+    gradient_segments,
+    ring_allreduce,
+    ring_allreduce_reference,
+)
+from tests.reference.compiled import assert_plan_equivalence
+from tests.reference.forest import (
+    ArgsortForest,
+    ArgsortTree,
+    forest_predict_reference,
+    predict_recursive,
+)
+from tests.reference.trainer import loop_fit
+
+__all__ = [
+    "ArgsortForest",
+    "ArgsortTree",
+    "allreduce_mean",
+    "assert_plan_equivalence",
+    "flatten_gradients",
+    "forest_predict_reference",
+    "gradient_segments",
+    "loop_fit",
+    "predict_recursive",
+    "ring_allreduce",
+    "ring_allreduce_reference",
+]

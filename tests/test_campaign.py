@@ -186,6 +186,10 @@ def test_from_dict_rejects_unknown_keys_at_both_levels():
         lambda: FaultConfig(on_error="ignore"),
         lambda: CheckpointConfig(every=0),
         lambda: CampaignConfig(search="AgEBO"),  # sub-config must be typed
+        lambda: SearchConfig(batch_size=0),
+        lambda: SearchConfig(batch_size=-4),
+        lambda: SearchConfig(learning_rate=0.0),
+        lambda: SearchConfig(learning_rate=-1.0),
     ],
 )
 def test_invalid_configs_fail_at_definition_time(make):

@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Trainer, assert_plan_equivalence
+from repro.nn import GraphNetwork, Trainer
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
+
+from tests.reference import assert_plan_equivalence
 
 N_FEATURES = 10
 N_CLASSES = 4

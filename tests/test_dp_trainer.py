@@ -111,7 +111,9 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=1, allreduce="tree")
     with pytest.raises(ValueError):
-        DataParallelTrainer(num_ranks=1, rank_mode="vector")
+        DataParallelTrainer(num_ranks=1, batch_size=0)
+    with pytest.raises(ValueError):
+        DataParallelTrainer(num_ranks=1, batch_size=-4)
     with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=1, epochs=-1)
 
@@ -134,7 +136,7 @@ def test_epochs_zero_returns_zeroed_result(rng):
 
 
 def test_epoch_end_event_reports_ring_bytes():
-    """EpochEnd carries the simulated per-rank ring communication volume."""
+    """EpochEnd carries the analytic per-rank ring volume in every mode."""
     from repro.campaign.events import EpochEnd, EventBus
     from repro.dataparallel import ring_transfer_stats
 
@@ -153,7 +155,7 @@ def test_epoch_end_event_reports_ring_bytes():
     assert all(e.ring_bytes_per_rank == expected for e in seen)
     assert expected > 0
 
-    # Non-ring reductions report zero communication.
+    # The fused reduction reports the same analytic ring volume.
     net2 = build(seed=6)
     trainer2 = DataParallelTrainer(num_ranks=4, epochs=1, batch_size=16, allreduce="fused")
     bus2 = EventBus()
@@ -161,7 +163,7 @@ def test_epoch_end_event_reports_ring_bytes():
     bus2.subscribe(seen2.append, EpochEnd)
     trainer2.event_bus = bus2
     trainer2.fit(net2, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(2))
-    assert seen2 and all(e.ring_bytes_per_rank == 0 for e in seen2)
+    assert seen2 and all(e.ring_bytes_per_rank == expected for e in seen2)
 
 
 def test_large_effective_batch_degrades_accuracy():

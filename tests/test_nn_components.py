@@ -15,9 +15,7 @@ from repro.nn import (
     apply_activation,
     glorot_uniform,
     he_normal,
-    l2_regularization,
     softmax_cross_entropy,
-    top_k_accuracy,
     zeros_init,
 )
 from repro.nn.activations import ACTIVATION_NAMES
@@ -154,17 +152,6 @@ def test_cross_entropy_label_shape_validation():
         softmax_cross_entropy(Tensor(np.zeros((3, 2))), np.array([0, 1]))
 
 
-def test_l2_regularization_excludes_biases():
-    w = Tensor(np.full((2, 2), 2.0), requires_grad=True)
-    b = Tensor(np.full(2, 100.0), requires_grad=True)
-    reg = l2_regularization([w, b], 0.5)
-    np.testing.assert_allclose(reg.item(), 0.5 * 16.0)
-
-
-def test_l2_regularization_empty():
-    assert l2_regularization([], 1.0).item() == 0.0
-
-
 # --------------------------------------------------------------------- #
 # Metrics
 # --------------------------------------------------------------------- #
@@ -175,19 +162,6 @@ def test_accuracy_basic():
 
 def test_accuracy_empty_is_zero():
     assert accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)) == 0.0
-
-
-def test_top_k_accuracy():
-    logits = np.array([[3.0, 2.0, 1.0], [1.0, 2.0, 3.0]])
-    labels = np.array([1, 0])
-    assert top_k_accuracy(logits, labels, 1) == 0.0
-    assert top_k_accuracy(logits, labels, 2) == 0.5
-    assert top_k_accuracy(logits, labels, 3) == 1.0
-
-
-def test_top_k_clamps_to_n_classes():
-    logits = np.array([[1.0, 0.0]])
-    assert top_k_accuracy(logits, np.array([1]), 10) == 1.0
 
 
 def test_confusion_counts_sums_to_n():

@@ -4,12 +4,14 @@ Three layers are pinned to their references:
 
 1. :meth:`CompiledPlan.loss_and_grads_ranked` (one fused multi-rank pass)
    against a loop of per-rank :meth:`CompiledPlan.loss_and_grad` calls;
-2. the flat-buffer :class:`RingReducer` / :func:`ring_allreduce` against
-   the chunked-list :func:`ring_allreduce_reference` and the naive mean,
-   under adversarial shapes (``n`` not dividing the flattened parameter
-   count, tensors smaller than ``n``, the ``n = 1`` fast path);
-3. ``DataParallelTrainer(rank_mode="batched")`` against the
-   ``rank_mode="loop"`` reference over full multi-epoch runs.
+2. the flat-buffer :class:`RingReducer` (through ``ring_allreduce``)
+   against the chunked-list ``ring_allreduce_reference`` and the naive
+   mean, under adversarial shapes (``n`` not dividing the flattened
+   parameter count, tensors smaller than ``n``, the ``n = 1`` fast path);
+3. ``DataParallelTrainer.fit`` against the per-rank ``loop_fit``
+   reference over full multi-epoch runs.
+
+The references live in ``tests/reference/``.
 
 All gates are 1e-10 or tighter; in practice the paths agree bitwise.
 """
@@ -21,24 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataparallel import (
-    DataParallelTrainer,
-    FlatTopKCompressor,
-    RingReducer,
-    TopKCompressor,
-    allreduce_mean,
-    allreduce_mean_flat,
-    compressed_allreduce_mean,
-    compressed_allreduce_mean_flat,
-    flatten_gradients,
-    gradient_segments,
-    ring_allreduce,
-    ring_allreduce_reference,
-)
+from repro.dataparallel import DataParallelTrainer, RingReducer, allreduce_mean_flat
 from repro.nn.graph_network import GraphNetwork
 from repro.searchspace import ArchitectureSpace
 
 from conftest import make_blobs
+from tests.reference import (
+    allreduce_mean,
+    flatten_gradients,
+    gradient_segments,
+    loop_fit,
+    ring_allreduce,
+    ring_allreduce_reference,
+)
 
 
 def random_model(seed: int, d: int = 10, classes: int = 4, num_nodes: int = 4) -> GraphNetwork:
@@ -198,35 +195,44 @@ def test_flat_reductions_preserve_float32():
     assert RingReducer(4, 9).reduce(flat).dtype == np.float32
 
 
-@pytest.mark.parametrize("rank_mode", ["batched", "loop"])
-def test_trainer_float32_keeps_adam_dtype_stable(rank_mode):
+def fit(path: str, trainer: DataParallelTrainer, model, *args):
+    """``trainer.fit`` (``path="batched"``) or the per-rank ``loop_fit``."""
+    if path == "batched":
+        return trainer.fit(model, *args)
+    return loop_fit(trainer, model, *args)
+
+
+@pytest.mark.parametrize("path", ["batched", "loop"])
+def test_trainer_float32_keeps_adam_dtype_stable(path):
     """float32 training must feed float32 gradients into the update."""
     X, y = make_blobs(np.random.default_rng(7), n=200)
     model = random_model(3, d=8, classes=3)
     trainer = DataParallelTrainer(
         num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005,
-        allreduce="ring", rank_mode=rank_mode, dtype=np.float32,
+        allreduce="ring", dtype=np.float32,
     )
-    trainer.fit(model, X[:160], y[:160], X[160:], y[160:], np.random.default_rng(8))
+    fit(path, trainer, model, X[:160], y[:160], X[160:], y[160:], np.random.default_rng(8))
     for p in model.parameters():
         assert p.grad is None or p.grad.dtype == model.dtype
 
 
 # --------------------------------------------------------------------- #
-# 4. Trainer: batched rank mode vs the loop reference
+# 4. Trainer vs the per-rank loop reference
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("allreduce", ["ring", "mean"])
-@pytest.mark.parametrize("num_ranks", [2, 4, 8])
+@pytest.mark.parametrize("num_ranks", [1, 2, 4, 8])
 def test_batched_trainer_matches_loop_reference(allreduce, num_ranks):
     """Multi-epoch runs agree on losses, accuracies and final weights."""
     X, y = make_blobs(np.random.default_rng(10), n=600)
 
-    def run(rank_mode):
+    def run(path):
         model = random_model(5, d=8, classes=3)
-        result = DataParallelTrainer(
+        trainer = DataParallelTrainer(
             num_ranks=num_ranks, epochs=4, batch_size=16, learning_rate=0.005,
-            allreduce=allreduce, rank_mode=rank_mode,
-        ).fit(model, X[:480], y[:480], X[480:], y[480:], np.random.default_rng(12))
+            allreduce=allreduce,
+        )
+        result = fit(path, trainer, model, X[:480], y[:480], X[480:], y[480:],
+                     np.random.default_rng(12))
         return result, model.get_weights()
 
     batched, w_batched = run("batched")
@@ -240,15 +246,17 @@ def test_batched_trainer_matches_loop_reference(allreduce, num_ranks):
 
 
 def test_batched_trainer_matches_loop_on_eager_backend():
-    """The eager backend has no batched kernels: both modes take the loop."""
+    """The eager backend has no batched kernels: the trainer fills the
+    (n, P) matrix rank by rank and must match the list reduction bitwise."""
     X, y = make_blobs(np.random.default_rng(13), n=300)
 
-    def run(rank_mode):
+    def run(path):
         model = random_model(6, d=8, classes=3)
-        result = DataParallelTrainer(
-            num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005,
-            backend="eager", rank_mode=rank_mode,
-        ).fit(model, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(14))
+        trainer = DataParallelTrainer(
+            num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005, backend="eager",
+        )
+        result = fit(path, trainer, model, X[:240], y[:240], X[240:], y[240:],
+                     np.random.default_rng(14))
         return result, model.get_weights()
 
     a, wa = run("batched")
@@ -259,62 +267,17 @@ def test_batched_trainer_matches_loop_on_eager_backend():
 
 
 def test_batched_trainer_degenerate_shards_fall_back():
-    """Shards shorter than one micro-batch use the reference loop path."""
+    """Shards shorter than one micro-batch take the per-rank gradient loop."""
     X, y = make_blobs(np.random.default_rng(15), n=60)
 
-    def run(rank_mode):
+    def run(path):
         model = random_model(7, d=8, classes=3)
-        result = DataParallelTrainer(
+        trainer = DataParallelTrainer(
             num_ranks=4, epochs=2, batch_size=32, learning_rate=0.005,
-            rank_mode=rank_mode,
-        ).fit(model, X[:48], y[:48], X[48:], y[48:], np.random.default_rng(16))
-        return result
+        )
+        return fit(path, trainer, model, X[:48], y[:48], X[48:], y[48:],
+                   np.random.default_rng(16))
 
     a = run("batched")
     b = run("loop")
     assert a.epoch_train_losses == b.epoch_train_losses
-
-
-# --------------------------------------------------------------------- #
-# 5. Flat compression vs the per-rank reference
-# --------------------------------------------------------------------- #
-@given(ratio=st.floats(0.05, 1.0), seed=st.integers(0, 100))
-@settings(max_examples=25, deadline=None)
-def test_flat_compression_matches_per_rank_reference(ratio, seed):
-    rng = np.random.default_rng(seed)
-    shapes = [(4, 3), (7,), (3, 2)]
-    num_ranks = 4
-    ref_comps = [TopKCompressor(ratio) for _ in range(num_ranks)]
-    segments = None
-    flat_comp = None
-    flat = None
-    for _ in range(3):  # several rounds so error feedback must agree too
-        grads = [[rng.normal(size=s) for s in shapes] for _ in range(num_ranks)]
-        if flat_comp is None:
-            flat, segments = flatten_gradients(grads)
-            flat_comp = FlatTopKCompressor(ratio, segments, num_ranks)
-        else:
-            flatten_gradients(grads, out=flat)
-        ref_mean = compressed_allreduce_mean(
-            [c.compress(g) for c, g in zip(ref_comps, grads)]
-        )
-        flat_mean = compressed_allreduce_mean_flat(
-            flat_comp.compress(flat), segments, num_ranks
-        )
-        packed = np.concatenate([t.ravel() for t in ref_mean])
-        np.testing.assert_allclose(flat_mean, packed, rtol=0, atol=1e-12)
-
-
-def test_flat_compressor_validation():
-    segments = [(0, 6, (2, 3))]
-    with pytest.raises(ValueError):
-        FlatTopKCompressor(0.0, segments, 2)
-    with pytest.raises(ValueError):
-        FlatTopKCompressor(0.5, [], 2)
-    with pytest.raises(ValueError):
-        FlatTopKCompressor(0.5, segments, 0)
-    comp = FlatTopKCompressor(0.5, segments, 2)
-    with pytest.raises(ValueError):
-        comp.compress(np.zeros((3, 6)))
-    with pytest.raises(ValueError):
-        compressed_allreduce_mean_flat([], segments, 2)

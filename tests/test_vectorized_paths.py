@@ -2,7 +2,8 @@
 
 Covers the three satellite guarantees of the perf work: the batched
 forest walks are bit-identical to the per-row recursive reference (and
-presorted split search grows the exact same trees as per-node argsort),
+presorted split search grows the exact same trees as per-node argsort;
+both references live in ``tests/reference/forest.py``),
 ``no_grad`` stays thread-local so a concurrent inference pass cannot
 disable taping on another thread, and float32 survives end-to-end
 through tensors, networks and compiled plans (no silent float64
@@ -20,6 +21,13 @@ from repro.bo.forest import RandomForestRegressor, RegressionTree
 from repro.nn import GraphNetwork, Tensor, is_grad_enabled, no_grad, softmax_cross_entropy
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 
+from tests.reference import (
+    ArgsortForest,
+    ArgsortTree,
+    forest_predict_reference,
+    predict_recursive,
+)
+
 
 def _forest_data(seed: int = 0, n: int = 250, d: int = 3):
     rng = np.random.default_rng(seed)
@@ -35,8 +43,8 @@ def _forest_data(seed: int = 0, n: int = 250, d: int = 3):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_presort_grows_identical_trees(seed):
     X, y = _forest_data(seed)
-    fast = RegressionTree(max_depth=9, presort=True).fit(X, y, np.random.default_rng(seed))
-    ref = RegressionTree(max_depth=9, presort=False).fit(X, y, np.random.default_rng(seed))
+    fast = RegressionTree(max_depth=9).fit(X, y, np.random.default_rng(seed))
+    ref = ArgsortTree(max_depth=9).fit(X, y, np.random.default_rng(seed))
     assert fast.node_count == ref.node_count
     np.testing.assert_array_equal(fast.feature_, ref.feature_)
     np.testing.assert_array_equal(fast.threshold_, ref.threshold_)
@@ -49,7 +57,7 @@ def test_tree_levelwalk_matches_recursive():
     X, y = _forest_data(3)
     tree = RegressionTree(max_depth=9).fit(X, y, np.random.default_rng(3))
     Xq = np.random.default_rng(4).standard_normal((333, 3))
-    np.testing.assert_array_equal(tree.predict(Xq), tree.predict_recursive(Xq))
+    np.testing.assert_array_equal(tree.predict(Xq), predict_recursive(tree, Xq))
 
 
 def test_forest_batched_predict_matches_reference():
@@ -57,7 +65,7 @@ def test_forest_batched_predict_matches_reference():
     forest = RandomForestRegressor(n_trees=25, max_depth=9).fit(X, y, np.random.default_rng(5))
     Xq = np.random.default_rng(6).standard_normal((1024, 3))
     mu, sigma = forest.predict(Xq)
-    mu_ref, sigma_ref = forest.predict_reference(Xq)
+    mu_ref, sigma_ref = forest_predict_reference(forest, Xq)
     np.testing.assert_array_equal(mu, mu_ref)
     np.testing.assert_array_equal(sigma, sigma_ref)
 
@@ -65,14 +73,10 @@ def test_forest_batched_predict_matches_reference():
 def test_forest_presort_toggle_identical_predictions():
     X, y = _forest_data(7)
     Xq = np.random.default_rng(8).standard_normal((100, 3))
-    out = {}
-    for presort in (False, True):
-        forest = RandomForestRegressor(n_trees=10, presort=presort).fit(
-            X, y, np.random.default_rng(9)
-        )
-        out[presort] = forest.predict(Xq)
-    np.testing.assert_array_equal(out[True][0], out[False][0])
-    np.testing.assert_array_equal(out[True][1], out[False][1])
+    fast = RandomForestRegressor(n_trees=10).fit(X, y, np.random.default_rng(9))
+    ref = ArgsortForest(n_trees=10).fit(X, y, np.random.default_rng(9))
+    for a, b in zip(fast.predict(Xq), ref.predict(Xq)):
+        np.testing.assert_array_equal(a, b)
 
 
 # --------------------------------------------------------------------- #
