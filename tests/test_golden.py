@@ -16,6 +16,7 @@ with the numpy versions of the CI matrix.  The gate is never skipped.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -29,6 +30,14 @@ from repro.campaign import (
     TrainingConfig,
     build_campaign,
     resume_campaign,
+)
+from repro.campaign.events import (
+    CacheHit,
+    CacheStore,
+    FaultInjected,
+    JobGathered,
+    JobRetried,
+    JobSubmitted,
 )
 
 DECIMALS = 6
@@ -88,6 +97,7 @@ GOLDEN = {
     "AgEBO-ring-eager": "ab7eca20bf5791da55d12319238dd140295fe2661732454dc1bd74a708e46874",
     "AgEBO-mean-eager": "ab7eca20bf5791da55d12319238dd140295fe2661732454dc1bd74a708e46874",
     "resume": "c15dcaf495f10d06183bb7c71b7fd021bb961f4dcdd5d136119f63c75f59cb2a",
+    "resume-events": "c146208820dacb366595ae4a23c683097c43f6b7afa812bc2c4159f5fbd34014",
 }
 
 
@@ -144,3 +154,39 @@ def test_killed_and_resumed_history_matches_golden(tmp_path):
     history = resume_campaign(path).run()
     assert len(history) == 24
     assert golden_digest(history) == GOLDEN["resume"]
+
+
+# The evaluator's side of the same run: every job, cache and fault event
+# in emission order with all fields, then the final failure counters and
+# utilization.  The history digest alone sees none of these.
+_EVALUATOR_EVENTS = (JobSubmitted, JobGathered, JobRetried, CacheHit, CacheStore, FaultInjected)
+
+
+def event_digest(events, evaluator) -> str:
+    h = hashlib.sha256()
+    for event in events:
+        fields = sorted((k, _canon(v)) for k, v in dataclasses.asdict(event).items())
+        h.update(repr((event.name, fields)).encode())
+    h.update(
+        repr(
+            (
+                evaluator.num_failures,
+                evaluator.num_retries,
+                evaluator.num_timeouts,
+                _canon(float(evaluator.utilization())),
+            )
+        ).encode()
+    )
+    return h.hexdigest()
+
+
+def test_faulty_event_stream_matches_golden():
+    campaign = build_campaign(_config("AgE", "exact", **_FAULTS))
+    events = []
+    campaign.subscribe(events.append)
+    campaign.run()
+    events = [e for e in events if isinstance(e, _EVALUATOR_EVENTS)]
+    assert len(events) == 27 + 24 + 7 + 3 + 19 + 12
+    evaluator = campaign.evaluator
+    assert (evaluator.num_failures, evaluator.num_retries, evaluator.num_timeouts) == (12, 7, 2)
+    assert event_digest(events, evaluator) == GOLDEN["resume-events"]
