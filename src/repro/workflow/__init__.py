@@ -1,7 +1,9 @@
 """Workflow substrate (paper substitute for the Balsam workflow system).
 
 Provides the non-blocking ``submit`` / ``gather`` manager-worker interface
-of Algorithm 1 with two interchangeable backends:
+of Algorithm 1 over one job table (the :class:`Evaluator` base, which
+applies the fault policy and delivers finished jobs) with three
+interchangeable backends:
 
 - :class:`SimulatedEvaluator` — an event-driven simulation of a W-worker
   cluster with a simulated wall clock in minutes.  Evaluation *results* are

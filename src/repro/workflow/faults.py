@@ -6,7 +6,7 @@ fatal error (§III-C: failed evaluations are penalized with a low objective).
 This module makes that behaviour a first-class, testable subsystem:
 
 - :class:`FaultPolicy` — the uniform failure-handling contract honored by
-  both evaluator backends: what counts as a failure (exceptions, per-job
+  every evaluator backend: what counts as a failure (exceptions, per-job
   timeouts, non-finite objectives), how often to retry, how long to back
   off between attempts (exponential, in evaluator minutes), and what a
   penalized result looks like.
@@ -55,8 +55,9 @@ class FaultPolicy:
         ``retry_backoff * 2**(k-1)`` minutes before re-entering the queue.
         Zero requeues immediately.
     timeout:
-        Per-job limit in evaluator minutes; a job running longer is treated
-        as failed at ``start + timeout`` (catches hangs and stragglers).
+        Per-attempt limit in evaluator minutes; an attempt running longer
+        is treated as failed at ``start + timeout`` (catches hangs and
+        stragglers).  Wall-clock backends start the clock at dispatch.
     failure_objective, failure_duration:
         The penalized :class:`EvaluationResult` recorded for a job that has
         exhausted the policy.

@@ -1,41 +1,58 @@
-"""Seeded property-style invariant tests for all evaluator backends.
+"""One evaluator contract, checked against every backend, plus regressions.
 
-Random (but seeded, via plain ``random.Random`` — no hypothesis dependency)
-submit/gather schedules driven against ``SimulatedEvaluator``,
-``ThreadedEvaluator`` and ``ProcessPoolEvaluator``, asserting structural
-invariants that must hold for *any* schedule:
+A hypothesis ``RuleBasedStateMachine`` drives ``SimulatedEvaluator``,
+``ThreadedEvaluator`` and ``ProcessPoolEvaluator`` through random
+interleavings of submit and gather, with run functions that raise or
+return NaN under a penalize or retry policy (the simulated backend also
+times attempts out, kills workers and is checkpointed into a fresh
+evaluator mid-run).  After every step:
 
-- jobs start in FIFO submission order (absent faults),
-- ``num_in_flight`` always equals submitted-minus-finished,
-- workers are conserved: free + busy + dead == num_workers,
-- ``utilization() <= 1.0`` at every quiescent point.
+- ``num_in_flight`` equals submitted minus delivered,
+- every job is delivered exactly once, ``DONE`` or ``FAILED``, with a result,
+- ``0 <= utilization() <= 1``,
+- on the simulated backend, workers are conserved (free + busy + dead ==
+  num_workers), jobs start in submission order absent faults, and one
+  worker runs them back to back in submission order.
 
-Plus targeted regressions for three ThreadedEvaluator bugs: gather
-blocking on pending futures while holding buffered finished jobs,
-per-attempt busy-time under-accounting on retries, and the timeout
-deadline scan skipping dispatched-but-unstarted (RETRYING) jobs.
+The fixed-seed ``random.Random`` schedules that predate the machine stay
+as cheap deterministic checks of the same invariants.  Plus targeted
+regressions: the ``on_error="raise"`` repair on every backend, the
+process backend's crash and timeout handling, and the threaded backend's
+buffered delivery, per-attempt busy time and dispatch-time deadlines.
 """
 
 from __future__ import annotations
 
+import collections
+import json
 import os
 import random
 import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.workflow import (
+    EvaluationCache,
     EvaluationResult,
     FaultPolicy,
-    Job,
     JobState,
     ProcessPoolEvaluator,
     SimulatedEvaluator,
     ThreadedEvaluator,
 )
 
-SCHEDULE_SEEDS = [11, 23, 37, 59]
+BACKENDS = ["simulated", "threaded", "process"]
 
 
 # --------------------------------------------------------------------- #
@@ -64,6 +81,41 @@ def hang_on_negative(config):
     return hashed_run(config)
 
 
+def raise_on_zero(config):
+    if int(config) == 0:
+        raise RuntimeError("boom")
+    return hashed_run(config)
+
+
+# Contract configs are ints ``100 * kind + value``: a small value range
+# makes duplicates (cache hits), and the kind picks the attempt's outcome.
+OK, RAISES, NAN, SLOW = range(4)
+
+
+def contract_run(config):
+    kind, value = divmod(int(config), 100)
+    if kind == RAISES:
+        raise RuntimeError(f"injected failure for {config}")
+    result = hashed_run(value)
+    if kind == NAN:
+        return EvaluationResult(objective=float("nan"), duration=result.duration)
+    if kind == SLOW:  # past the simulated backend's policy timeout
+        return EvaluationResult(objective=result.objective, duration=12.0)
+    return result
+
+
+def make_evaluator(backend, run_function, num_workers, policy, cache=None):
+    if backend == "simulated":
+        return SimulatedEvaluator(run_function, num_workers, fault_policy=policy, cache=cache)
+    cls = ThreadedEvaluator if backend == "threaded" else ProcessPoolEvaluator
+    return cls(run_function, num_workers, fault_policy=policy, cache=cache)
+
+
+def close(ev):
+    if not isinstance(ev, SimulatedEvaluator):
+        ev.shutdown()
+
+
 def drain(ev, wall_limit_s=60.0):
     """Gather until nothing is in flight (bounded by a wall-clock guard)."""
     finished = []
@@ -72,6 +124,12 @@ def drain(ev, wall_limit_s=60.0):
         assert time.monotonic() < deadline, "evaluator failed to drain in time"
         finished.extend(ev.gather())
     return finished
+
+
+# --------------------------------------------------------------------- #
+# Seeded schedules: random submit/gather interleavings per backend
+# --------------------------------------------------------------------- #
+SCHEDULE_SEEDS = [11, 23, 37, 59]
 
 
 def seeded_run(seed: int):
@@ -194,9 +252,6 @@ def test_threaded_schedule_invariants(seed):
         ev.shutdown()
 
 
-# --------------------------------------------------------------------- #
-# ProcessPoolEvaluator: parity with the invariant suite
-# --------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", SCHEDULE_SEEDS[:2])
 def test_process_schedule_invariants(seed):
     """The schedule invariants hold on the real-process backend."""
@@ -210,6 +265,170 @@ def test_process_schedule_invariants(seed):
         assert ev.num_in_flight == 0
 
 
+# --------------------------------------------------------------------- #
+# The contract, as a state machine over each backend
+# --------------------------------------------------------------------- #
+MAX_JOBS = 24
+
+
+def contract_machine(backend):
+    simulated = backend == "simulated"
+
+    class EvaluatorContract(RuleBasedStateMachine):
+        @initialize(
+            num_workers=st.integers(1, 4 if simulated else 2),
+            faults=st.booleans(),
+            on_error=st.sampled_from(["penalize", "retry"]),
+            backoff=st.sampled_from([0.0, 0.5]),
+        )
+        def build(self, num_workers, faults, on_error, backoff):
+            self.num_workers = num_workers
+            self.kinds = [OK, OK, RAISES, NAN, SLOW] if faults else [OK]
+            # Only the simulated clock gets a timeout and backoff: both are
+            # in evaluator minutes.
+            self.policy = FaultPolicy(
+                on_error=on_error,
+                max_retries=1,
+                retry_backoff=backoff if simulated else 0.0,
+                timeout=8.0 if simulated else None,
+                failure_duration=0.5,
+            )
+            self.ev = make_evaluator(
+                backend, contract_run, num_workers, self.policy, EvaluationCache()
+            )
+            self.submitted = 0
+            self.delivered = collections.Counter()
+            self.order: list[tuple[int, float, float]] = []  # (id, start, end)
+            self.faulty = False
+
+        @precondition(lambda self: self.submitted < MAX_JOBS)
+        @rule(data=st.data())
+        def submit(self, data):
+            batch = data.draw(
+                st.lists(
+                    st.tuples(st.sampled_from(self.kinds), st.integers(0, 5)),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+            configs = [100 * kind + value for kind, value in batch]
+            jobs = self.ev.submit(configs)
+            assert [j.job_id for j in jobs] == list(
+                range(self.submitted, self.submitted + len(configs))
+            )
+            self.submitted += len(configs)
+            self.faulty |= any(kind in (RAISES, NAN, SLOW) for kind, _ in batch)
+
+        @rule()
+        def gather(self):
+            idle = self.ev.num_in_flight == 0
+            finished = self.ev.gather()
+            assert bool(finished) != idle
+            for job in finished:
+                assert job.state in (JobState.DONE, JobState.FAILED)
+                assert job.result is not None
+                self.delivered[job.job_id] += 1
+                assert self.delivered[job.job_id] == 1, f"job {job.job_id} delivered twice"
+                self.order.append((job.job_id, job.start_time, job.end_time))
+
+        @precondition(lambda self: simulated and self.num_workers > 1)
+        @rule(data=st.data())
+        def kill_worker(self, data):
+            # Worker 0 never dies, so the cluster cannot deadlock.
+            self.ev._on_worker_fail(data.draw(st.integers(1, self.num_workers - 1)))
+            self.faulty = True
+
+        @precondition(lambda self: simulated)
+        @rule()
+        def checkpoint_and_resume(self):
+            state = json.loads(json.dumps(self.ev.state_dict()))
+            self.ev = SimulatedEvaluator(contract_run, self.num_workers)
+            self.ev.load_state(state)
+
+        @invariant()
+        def accounting(self):
+            assert self.ev.num_in_flight == self.submitted - sum(self.delivered.values())
+            assert 0.0 <= self.ev.utilization() <= 1.0 + 1e-9
+
+        @invariant()
+        def simulated_cluster(self):
+            if not simulated:
+                return
+            ev = self.ev
+            free, busy, dead = len(ev._free_workers), len(ev._running), len(ev._dead_workers)
+            assert free + busy + dead == self.num_workers
+            if self.faulty:
+                return
+            starts = [j.start_time for j in ev.jobs if j.state is not JobState.PENDING]
+            assert starts == sorted(starts), "jobs did not start in submission order"
+            if self.num_workers == 1:
+                ids = [job_id for job_id, _, _ in self.order]
+                assert ids == sorted(ids)
+                for (_, _, prev_end), (_, start, _) in zip(self.order, self.order[1:]):
+                    assert start >= prev_end
+
+        def teardown(self):
+            ev = getattr(self, "ev", None)
+            if ev is None:
+                return
+            try:
+                while ev.num_in_flight:
+                    self.gather()
+                assert sorted(self.delivered) == list(range(self.submitted))
+            finally:
+                close(ev)
+
+    return EvaluatorContract
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_evaluator_contract(backend):
+    # Wall-clock backends build a real pool per example: keep them few.
+    examples = 40 if backend == "simulated" else 6
+    run_state_machine_as_test(
+        contract_machine(backend),
+        settings=settings(max_examples=examples, stateful_step_count=15, deadline=None),
+    )
+
+
+# --------------------------------------------------------------------- #
+# Regression: on_error="raise" finalizes the failing job, keeps the batch
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_raise_policy_fails_one_job_and_keeps_the_rest(backend):
+    """Pre-fix, the simulated backend raised out of ``submit`` leaving job
+    0 RUNNING on a worker forever, never created job 1, and the next
+    gather reported a deadlock with "all 2 workers are dead"."""
+    ev = make_evaluator(backend, raise_on_zero, 2, FaultPolicy(on_error="raise"))
+    try:
+        raised = 0
+        delivered = []
+        try:
+            ev.submit([0, 1])
+        except RuntimeError as exc:
+            assert "boom" in str(exc)
+            raised += 1
+        deadline = time.monotonic() + 60.0
+        while ev.num_in_flight:
+            assert time.monotonic() < deadline, "evaluator failed to drain in time"
+            try:
+                delivered.extend(ev.gather())
+            except RuntimeError as exc:
+                assert "boom" in str(exc), exc
+                raised += 1
+        assert raised == 1
+        assert ev.jobs[0].state is JobState.FAILED
+        assert [j.job_id for j in delivered] == [1]
+        assert delivered[0].state is JobState.DONE
+        assert ev.num_in_flight == 0
+        assert ev.gather() == []
+    finally:
+        close(ev)
+
+
+# --------------------------------------------------------------------- #
+# ProcessPoolEvaluator: results, policy parity, crashes and timeouts
+# --------------------------------------------------------------------- #
 def test_process_results_match_run_function():
     """Objectives computed in worker processes round-trip exactly."""
     with ProcessPoolEvaluator(hashed_run, num_workers=2) as ev:
@@ -296,30 +515,29 @@ def test_process_rejects_unpicklable_run_function():
 # Regression: gather must return buffered finished jobs immediately
 # --------------------------------------------------------------------- #
 def test_threaded_gather_returns_buffered_without_blocking():
-    """Jobs already in ``_completed`` are delivered without waiting on an
-    unrelated pending future (pre-fix: gather blocked in ``wait``)."""
+    """A finished job waiting in the buffer (here a cache hit, finalized at
+    submit) is delivered without waiting on an unrelated pending attempt
+    (pre-fix: gather blocked in ``wait``)."""
     release = threading.Event()
 
     def blocked(config):
         release.wait(30)
         return EvaluationResult(objective=0.5, duration=0.0)
 
-    ev = ThreadedEvaluator(blocked, num_workers=1)
+    cache = EvaluationCache()
+    cache.store(1, EvaluationResult(objective=0.9, duration=0.0))
+    ev = ThreadedEvaluator(blocked, num_workers=1, cache=cache)
     try:
         ev.submit([0])  # occupies the only worker, future stays pending
-        buffered = Job(
-            job_id=99, config=1, state=JobState.DONE,
-            result=EvaluationResult(objective=0.9, duration=0.0),
-        )
-        ev._completed.append(buffered)
-        out: list[Job] = []
+        (hit,) = ev.submit([1])
+        out: list = []
         t = threading.Thread(target=lambda: out.extend(ev.gather()))
         t.start()
         t.join(5.0)
         assert not t.is_alive(), (
             "gather blocked on a pending future while holding buffered jobs"
         )
-        assert [j.job_id for j in out] == [99]
+        assert out == [hit] and hit.cache_hit
     finally:
         release.set()
         drain(ev)
@@ -392,32 +610,8 @@ def test_threaded_retry_busy_time_accumulates_per_attempt():
 
 
 # --------------------------------------------------------------------- #
-# Regression: deadline scan covers dispatched-but-unstarted jobs
+# Regression: a timeout counts from dispatch, so no retry waits forever
 # --------------------------------------------------------------------- #
-def test_wait_timeout_covers_unstarted_jobs():
-    """A RETRYING (dispatched, not yet started) job must yield a finite
-    wait bound of at most ``timeout`` — pre-fix the scan skipped it and
-    gather blocked forever on a hung retry."""
-    ev = ThreadedEvaluator(
-        lambda c: EvaluationResult(0.5, 0.0),
-        num_workers=1,
-        fault_policy=FaultPolicy(on_error="retry", max_retries=1, timeout=2.0),
-    )
-    try:
-        retrying = Job(job_id=0, config=0, state=JobState.RETRYING, start_time=0.0)
-        bound = ev._wait_timeout([retrying])
-        assert bound is not None
-        assert bound <= 2.0 * 60.0 + 1.0  # now + timeout, in seconds
-        # A RUNNING job keeps its start-based (tighter or equal) deadline.
-        running = Job(job_id=1, config=1, state=JobState.RUNNING, start_time=ev.now)
-        assert ev._wait_timeout([running]) <= bound + 1.0
-        # No policy timeout -> unbounded wait is correct.
-        ev.fault_policy = FaultPolicy(on_error="retry", max_retries=1, timeout=None)
-        assert ev._wait_timeout([retrying]) is None
-    finally:
-        ev.shutdown()
-
-
 def test_threaded_hung_retry_does_not_deadlock_gather():
     """First attempt fails fast; the retry hangs.  gather must reap the
     hung retry at the policy deadline instead of blocking forever."""
@@ -443,6 +637,38 @@ def test_threaded_hung_retry_does_not_deadlock_gather():
         assert job.state is JobState.FAILED
         assert job.objective == -1.0
         assert ev.num_timeouts == 1
+    finally:
+        release.set()
+        ev.shutdown()
+
+
+def test_threaded_retry_behind_abandoned_attempt_is_reaped():
+    """The first attempt hangs past its deadline and is abandoned, but its
+    thread keeps the only worker.  The retry queues behind it and must be
+    reaped at its own deadline (dispatch + timeout); pre-fix it was never
+    RUNNING, so gather waited out the whole hang."""
+    blocking_s = 6.0
+    release = threading.Event()
+    calls = {"n": 0}
+
+    def first_attempt_blocks(config):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            release.wait(blocking_s)
+        return EvaluationResult(objective=0.5, duration=0.0)
+
+    policy = FaultPolicy(on_error="retry", max_retries=1, timeout=0.5 / 60.0)
+    ev = ThreadedEvaluator(first_attempt_blocks, num_workers=1, fault_policy=policy)
+    try:
+        ev.submit([0])
+        t0 = time.perf_counter()
+        (job,) = drain(ev, wall_limit_s=30.0)
+        elapsed = time.perf_counter() - t0
+        assert job.state is JobState.FAILED
+        assert ev.num_timeouts == 2
+        assert elapsed < blocking_s / 3
+        # The abandoned attempt is credited busy time up to its reap only.
+        assert ev._busy_time * 60.0 < blocking_s / 3
     finally:
         release.set()
         ev.shutdown()
