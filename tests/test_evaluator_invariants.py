@@ -52,6 +52,7 @@ from repro.workflow import (
     ThreadedEvaluator,
 )
 
+SCHEDULE_SEEDS = [11, 23, 37, 59]
 BACKENDS = ["simulated", "threaded", "process"]
 
 
@@ -124,12 +125,6 @@ def drain(ev, wall_limit_s=60.0):
         assert time.monotonic() < deadline, "evaluator failed to drain in time"
         finished.extend(ev.gather())
     return finished
-
-
-# --------------------------------------------------------------------- #
-# Seeded schedules: random submit/gather interleavings per backend
-# --------------------------------------------------------------------- #
-SCHEDULE_SEEDS = [11, 23, 37, 59]
 
 
 def seeded_run(seed: int):
@@ -252,6 +247,9 @@ def test_threaded_schedule_invariants(seed):
         ev.shutdown()
 
 
+# --------------------------------------------------------------------- #
+# ProcessPoolEvaluator: parity with the invariant suite
+# --------------------------------------------------------------------- #
 @pytest.mark.parametrize("seed", SCHEDULE_SEEDS[:2])
 def test_process_schedule_invariants(seed):
     """The schedule invariants hold on the real-process backend."""
