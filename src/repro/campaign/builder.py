@@ -12,15 +12,13 @@ Construction is intentionally *identical* to hand-wiring the raw classes
 bit-identical :class:`~repro.core.results.SearchHistory` to the same seeds
 run through the class API directly.
 
-:func:`resume_campaign` rebuilds a campaign from a checkpoint that stores
-its own ``CampaignConfig`` (written by ``Campaign.run`` /
-``search.checkpoint``), so every knob — including ones added later — is
-restored without a pinned key list.
+:func:`resume_campaign` is :func:`build_campaign` on the ``CampaignConfig``
+a checkpoint embeds, followed by ``search.load_state``: every knob is
+restored without a pinned key list, and every registered method resumes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -119,10 +117,6 @@ def _build_age(config: CampaignConfig, space, hp_space, evaluator) -> AgE:
     )
 
 
-def _resume_age(path, config, space, hp_space, run_function, evaluator) -> AgE:
-    return AgE.resume(path, space, run_function, evaluator=evaluator)
-
-
 def _build_agebo(config: CampaignConfig, space, hp_space, evaluator) -> AgEBO:
     s = config.search
     return AgEBO(
@@ -142,18 +136,9 @@ def _build_agebo(config: CampaignConfig, space, hp_space, evaluator) -> AgEBO:
     )
 
 
-def _resume_agebo(path, config, space, hp_space, run_function, evaluator) -> AgEBO:
-    return AgEBO.resume(path, space, hp_space, run_function, evaluator=evaluator)
-
-
-SEARCH_METHODS.register(
-    "AgE", SearchMethod("AgE", build=_build_age, resume=_resume_age, uses_bo=False)
-)
+SEARCH_METHODS.register("AgE", SearchMethod("AgE", build=_build_age, uses_bo=False))
 for _variant in AGEBO_VARIANTS:
-    SEARCH_METHODS.register(
-        _variant,
-        SearchMethod(_variant, build=_build_agebo, resume=_resume_agebo, uses_bo=True),
-    )
+    SEARCH_METHODS.register(_variant, SearchMethod(_variant, build=_build_agebo, uses_bo=True))
 
 
 # --------------------------------------------------------------------- #
@@ -260,16 +245,6 @@ def _fault_policy(config: CampaignConfig) -> FaultPolicy:
     )
 
 
-def _validate_names(config: CampaignConfig) -> None:
-    if config.dataset not in dataset_names():
-        raise ValueError(
-            f"unknown dataset {config.dataset!r}; available: {dataset_names()}"
-        )
-    SEARCH_METHODS.get(config.search.method)  # raises with known names
-    EVALUATORS.get(config.evaluator.backend)
-    SURROGATES.get(config.search.surrogate)
-
-
 def build_campaign(
     config: CampaignConfig, event_bus: EventBus | None = None
 ) -> Campaign:
@@ -280,19 +255,22 @@ def build_campaign(
     is threaded through all of them.  Pass an existing ``event_bus`` to
     attach subscribers before any construction-time events fire.
     """
-    _validate_names(config)
+    if config.dataset not in dataset_names():
+        raise ValueError(
+            f"unknown dataset {config.dataset!r}; available: {dataset_names()}"
+        )
+    method = SEARCH_METHODS.get(config.search.method)  # raises with known names
+    make_evaluator = EVALUATORS.get(config.evaluator.backend)
+    SURROGATES.get(config.search.surrogate)
     bus = event_bus if event_bus is not None else EventBus()
 
     dataset = load_dataset(config.dataset, size=config.size)
     space = ArchitectureSpace(num_nodes=config.num_nodes)
     evaluation, run_function = _build_run_function(config, dataset, space, bus)
 
-    evaluator = EVALUATORS.get(config.evaluator.backend)(
-        run_function, config.evaluator, _fault_policy(config)
-    )
+    evaluator = make_evaluator(run_function, config.evaluator, _fault_policy(config))
     evaluator.event_bus = bus
 
-    method = SEARCH_METHODS.get(config.search.method)
     hp_space = (
         variant_hp_space(config.search.method, max_ranks=config.search.max_ranks)
         if method.uses_bo
@@ -327,8 +305,10 @@ def resume_campaign(
     The checkpoint's embedded :class:`CampaignConfig` supplies every knob;
     ``overrides`` replace top-level config fields (typically the budgets —
     ``max_evaluations``, ``wall_time_minutes`` — or ``checkpoint``) before
-    the campaign is rebuilt.  The restored search continues bit-identically
-    to an uninterrupted run.
+    :func:`build_campaign` wires the campaign; the search then loads the
+    checkpointed state and continues bit-identically to an uninterrupted
+    run.  An override that disagrees with a setting the checkpoint records,
+    or a malformed checkpoint, raises ``ValueError``.
     """
     from repro.core.serialization import load_checkpoint
 
@@ -346,38 +326,10 @@ def resume_campaign(
             f"checkpoint {path} does not embed a campaign config; "
             "it was not written through the campaign layer"
         )
-    config = CampaignConfig.from_dict(extra["campaign"])
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-
-    _validate_names(config)
-    bus = event_bus if event_bus is not None else EventBus()
-    dataset = load_dataset(config.dataset, size=config.size)
-    space = ArchitectureSpace(num_nodes=config.num_nodes)
-    evaluation, run_function = _build_run_function(config, dataset, space, bus)
-    evaluator = EVALUATORS.get(config.evaluator.backend)(
-        run_function, config.evaluator, _fault_policy(config)
-    )
-    evaluator.event_bus = bus
-
-    method = SEARCH_METHODS.get(config.search.method)
-    hp_space = (
-        variant_hp_space(config.search.method, max_ranks=config.search.max_ranks)
-        if method.uses_bo
-        else None
-    )
-    search = method.resume(path, config, space, hp_space, run_function, evaluator)
-    search.event_bus = bus
-    search.checkpoint_metadata = {"campaign": config.to_dict()}
-
-    return Campaign(
-        config=config,
-        dataset=dataset,
-        space=space,
-        hp_space=hp_space,
-        evaluation=evaluation,
-        run_function=run_function,
-        evaluator=evaluator,
-        search=search,
-        event_bus=bus,
-    )
+    config = CampaignConfig.from_dict(extra["campaign"]).replace(**overrides)
+    campaign = build_campaign(config, event_bus)
+    try:
+        campaign.search.load_state(data["search"])
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"checkpoint {path} is malformed: {exc!r}") from exc
+    return campaign

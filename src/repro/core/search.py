@@ -19,7 +19,7 @@ from repro.core.config import ModelConfig
 from repro.core.results import EvaluationRecord, SearchHistory
 from repro.searchspace.archspace import ArchitectureSpace
 from repro.searchspace.mutation import mutate_architecture
-from repro.workflow.evaluator import Evaluator
+from repro.workflow.evaluator import Evaluator, check_settings
 from repro.workflow.jobs import Job
 
 __all__ = ["AgingEvolutionBase"]
@@ -236,18 +236,25 @@ class AgingEvolutionBase:
 
         save_checkpoint(self, path)
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-safe snapshot of the search: population, history, RNG,
-        iteration counters and the evaluator's cluster state."""
-        from repro.core.serialization import record_to_dict
-
+    def _settings(self) -> dict[str, Any]:
+        """The construction-time settings a checkpoint records; restoring
+        checks them instead of assigning them.  Subclasses extend this."""
         return {
-            "label": self.history.label,
             "population_size": self.population_size,
             "sample_size": self.sample_size,
             "num_workers": self.num_workers,
             "mutate_skips": self.mutate_skips,
             "replacement": self.replacement,
+        }
+
+    def state_dict(self) -> dict[str, Any]:
+        """JSON-safe snapshot of the search: settings, population, history,
+        RNG, iteration counters and the evaluator's cluster state."""
+        from repro.core.serialization import record_to_dict
+
+        return {
+            "label": self.history.label,
+            **self._settings(),
             "rng_state": self.rng.bit_generator.state,
             "initialized": self._initialized,
             "iterations": self._iterations,
@@ -265,14 +272,16 @@ class AgingEvolutionBase:
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict` (evaluator included)."""
+        """Restore a snapshot taken by :meth:`state_dict` (evaluator included).
+
+        Only dynamic state is restored.  The snapshot's settings must match
+        this search's (see :meth:`_settings`); ``ValueError`` names the
+        first that does not.
+        """
         from repro.core.serialization import record_from_dict
 
-        self.population_size = int(state["population_size"])
-        self.sample_size = int(state["sample_size"])
-        self.num_workers = int(state["num_workers"])
-        self.mutate_skips = bool(state["mutate_skips"])
-        self.replacement = state["replacement"]
+        live = self._settings()
+        check_settings({name: state[name] for name in live}, live)
         self.rng.bit_generator.state = state["rng_state"]
         self._initialized = bool(state["initialized"])
         self._iterations = int(state["iterations"])

@@ -9,8 +9,11 @@ ones, and their records can warm-start a new search's population and BO.
 It also defines the **checkpoint** schema: a JSON snapshot of the complete
 search state — AgE population, full history, numpy RNG states, BO
 tell-history, and the simulated evaluator's clock/queues/pending events —
-written atomically so a killed campaign can resume bit-identically via
-``AgEBO.resume`` / ``AgE.resume`` or the CLI ``--resume`` flag.
+written atomically so a killed campaign can resume bit-identically.  A
+search restores it with ``load_state``, which checks the recorded settings
+against the live search rather than assigning them; the campaign layer's
+``resume_campaign`` (CLI ``--resume``) rebuilds the search from the
+embedded campaign config and then calls it.
 """
 
 from __future__ import annotations
@@ -127,15 +130,14 @@ def load_history(path: str | Path) -> SearchHistory:
 # --------------------------------------------------------------------- #
 # Checkpoints: the full, resumable search state
 # --------------------------------------------------------------------- #
-def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None = None) -> Path:
+def save_checkpoint(search: Any, path: str | Path) -> Path:
     """Atomically write the complete state of a search to ``path``.
 
     ``search`` is any :class:`~repro.core.search.AgingEvolutionBase`
     subclass exposing ``state_dict()``.  The file is written to a ``.tmp``
     sibling and renamed, so a crash mid-checkpoint never corrupts the last
-    good checkpoint.  ``extra`` (or the search's ``checkpoint_metadata``
-    attribute) is stored verbatim for callers such as the CLI that need to
-    rebuild the dataset/space context on resume.
+    good checkpoint.  The search's ``checkpoint_metadata`` is stored
+    verbatim under ``extra`` (the campaign layer keeps its config there).
     """
     path = Path(path)
     data = {
@@ -143,9 +145,8 @@ def save_checkpoint(search: Any, path: str | Path, extra: dict[str, Any] | None 
         "algorithm": type(search).__name__,
         "search": search.state_dict(),
     }
-    metadata = extra if extra is not None else getattr(search, "checkpoint_metadata", None)
-    if metadata:
-        data["extra"] = metadata
+    if search.checkpoint_metadata:
+        data["extra"] = search.checkpoint_metadata
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(data))
     os.replace(tmp, path)

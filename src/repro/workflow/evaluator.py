@@ -60,6 +60,7 @@ from repro.workflow.faults import FaultPolicy
 from repro.workflow.jobs import EvaluationResult, Job, JobState, job_from_dict, job_to_dict
 
 __all__ = [
+    "check_settings",
     "Evaluator",
     "SimulatedEvaluator",
     "ThreadedEvaluator",
@@ -67,6 +68,17 @@ __all__ = [
 ]
 
 RunFunction = Callable[[Any], EvaluationResult]
+
+
+def check_settings(stored: dict[str, Any], live: dict[str, Any]) -> None:
+    """Raise ``ValueError`` naming the first setting a checkpoint records
+    differently from the live object it is being restored into."""
+    for name in {**live, **stored}:
+        if stored.get(name) != live.get(name):
+            raise ValueError(
+                f"checkpoint has {name}={stored.get(name)!r}, "
+                f"but this run has {live.get(name)!r}"
+            )
 
 
 # --------------------------------------------------------------------- #
@@ -562,13 +574,27 @@ class SimulatedEvaluator(Evaluator):
         return state
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore a snapshot taken by :meth:`state_dict`."""
-        if state["num_workers"] != self.num_workers:
-            raise ValueError(
-                f"checkpoint has {state['num_workers']} workers, evaluator has "
-                f"{self.num_workers}"
-            )
-        self.fault_policy = FaultPolicy(**state["policy"])
+        """Restore a snapshot taken by :meth:`state_dict`.
+
+        Only the dynamic cluster state is restored: the worker count, the
+        fault policy, whether the cache is on and whether the run function
+        injects faults must already match the snapshot (``ValueError``
+        names the first that does not).
+        """
+        check_settings(
+            {
+                "num_workers": state["num_workers"],
+                **state["policy"],
+                "cache": "off" if state.get("cache") is None else "on",
+                "fault injection": "on" if "run_function_state" in state else "off",
+            },
+            {
+                "num_workers": self.num_workers,
+                **dataclasses.asdict(self.fault_policy),
+                "cache": "off" if self.cache is None else "on",
+                "fault injection": "on" if hasattr(self.run_function, "getstate") else "off",
+            },
+        )
         self._clock = float(state["clock"])
         self._busy_time = float(state["busy_time"])
         self._capacity_time = float(state["capacity_time"])
@@ -591,15 +617,9 @@ class SimulatedEvaluator(Evaluator):
             ],
             int(state["event_counter"]),
         )
-        cache_state = state.get("cache")
-        if cache_state is not None:
-            # A checkpoint written with caching on restores the cache even
-            # when this evaluator was constructed without one, so resumed
-            # campaigns keep their memo (and their hit counters).
-            if self.cache is None:
-                self.cache = EvaluationCache()
-            self.cache.load_state(cache_state)
-        if "run_function_state" in state and hasattr(self.run_function, "setstate"):
+        if self.cache is not None:
+            self.cache.load_state(state["cache"])
+        if "run_function_state" in state:
             self.run_function.setstate(state["run_function_state"])
 
 

@@ -144,10 +144,12 @@ def test_sim_cache_state_roundtrips_through_evaluator_checkpoint():
     while ev.num_in_flight:
         ev.gather()
     state = ev.state_dict()
-    # Restoring into a cache-less evaluator revives the memo.
-    resumed = SimulatedEvaluator(int_eval, num_workers=2)
+    # The cache mode is a checked setting: a cache-less evaluator refuses
+    # the snapshot instead of silently growing a cache.
+    with pytest.raises(ValueError, match="cache"):
+        SimulatedEvaluator(int_eval, num_workers=2).load_state(state)
+    resumed = SimulatedEvaluator(int_eval, num_workers=2, cache=EvaluationCache())
     resumed.load_state(state)
-    assert resumed.cache is not None
     assert len(resumed.cache) == len(cache)
     assert resumed.cache.hits == cache.hits
     jobs = resumed.submit([2])  # duplicate of a pre-checkpoint evaluation

@@ -410,13 +410,64 @@ def test_resume_rejects_pre_campaign_checkpoint_layout(tmp_path):
     campaign = build_campaign(tiny_config())
     campaign.run()
     path = tmp_path / "old.ckpt"
-    save_checkpoint(campaign.search, path,
-                    extra={"cli": {"dataset": "covertype", "epochs": 1}})
+    campaign.search.checkpoint_metadata = {"cli": {"dataset": "covertype", "epochs": 1}}
+    save_checkpoint(campaign.search, path)
     with pytest.raises(ValueError, match="pre-campaign"):
         resume_campaign(path)
     # And a checkpoint with no campaign metadata at all:
-    save_checkpoint(campaign.search, path, extra={})
+    campaign.search.checkpoint_metadata = {}
+    save_checkpoint(campaign.search, path)
     with pytest.raises(ValueError, match="campaign config"):
+        resume_campaign(path)
+
+
+@pytest.mark.parametrize(
+    "overrides,setting",
+    [
+        (dict(search=SearchConfig(method="AgEBO", population_size=6, sample_size=2,
+                                  seed=3, n_initial_points=3)), "population_size"),
+        (dict(search=SearchConfig(method="AgEBO", population_size=4, sample_size=2,
+                                  seed=3, n_initial_points=3, kappa=1.96)), "kappa"),
+        (dict(faults=FaultConfig(on_error="retry")), "on_error"),
+        (dict(faults=FaultConfig(on_error="penalize", crash_prob=0.2)), "fault injection"),
+        (dict(evaluator=EvaluatorConfig(num_workers=3, cache="exact")), "cache"),
+    ],
+)
+def test_resume_override_that_disagrees_with_checkpoint_raises(tmp_path, overrides, setting):
+    """An override of a setting the checkpoint records is refused by name,
+    never dropped while the campaign's config claims it."""
+    path = tmp_path / "camp.ckpt"
+    build_campaign(
+        tiny_config(checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run()
+    with pytest.raises(ValueError, match=setting):
+        resume_campaign(path, **overrides)
+
+
+def test_resume_age_override_of_static_hyperparameters_raises(tmp_path):
+    path = tmp_path / "camp.ckpt"
+    search = SearchConfig(method="AgE", population_size=4, sample_size=2, seed=3)
+    build_campaign(
+        tiny_config(search=search, checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run()
+    with pytest.raises(ValueError, match="hyperparameters"):
+        resume_campaign(path, search=SearchConfig(method="AgE", population_size=4,
+                                                  sample_size=2, seed=3, batch_size=64))
+
+
+def test_resume_malformed_search_state_raises_value_error(tmp_path):
+    path = tmp_path / "camp.ckpt"
+    build_campaign(
+        tiny_config(checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run()
+    data = json.loads(path.read_text())
+    del data["search"]["population"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed.*population"):
+        resume_campaign(path)
+    data["search"]["evaluator"]["jobs"] = 7
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="malformed"):
         resume_campaign(path)
 
 
@@ -459,8 +510,9 @@ def test_builtin_registries_are_populated():
     assert SEARCH_METHODS.get("AgEBO").uses_bo
 
 
-def test_custom_search_method_runs_through_builder():
-    """A user-registered method is a first-class campaign citizen."""
+def test_custom_search_method_runs_through_builder(tmp_path):
+    """A user-registered method is a first-class campaign citizen: it
+    builds, runs, and resumes from a checkpoint with only a build factory."""
     from repro.core.search import AgingEvolutionBase
 
     def build(config, space, hp_space, evaluator):
@@ -476,18 +528,24 @@ def test_custom_search_method_runs_through_builder():
     name = "test-custom-age"
     if name not in SEARCH_METHODS:
         SEARCH_METHODS.register(
-            name, SearchMethod(name, build=build, resume=None, uses_bo=False)
+            name, SearchMethod(name, build=build, uses_bo=False)
         )
-    campaign = build_campaign(
-        tiny_config(max_evaluations=4,
-                    search=SearchConfig(method=name, population_size=4,
-                                        sample_size=2, seed=0))
-    )
+    config = tiny_config(max_evaluations=8,
+                         search=SearchConfig(method=name, population_size=4,
+                                             sample_size=2, seed=0))
+    campaign = build_campaign(config)
     assert isinstance(campaign.search, AgingEvolutionBase)
     assert campaign.hp_space is None
     history = campaign.run()
-    assert len(history) == 4
+    assert len(history) == 8
     assert history.label == "custom"
+
+    path = tmp_path / "custom.ckpt"
+    build_campaign(
+        config.replace(checkpoint=CheckpointConfig(path=str(path), every=1))
+    ).run(max_evaluations=4)
+    resumed = resume_campaign(path).run()
+    assert history_to_dict(resumed) == history_to_dict(history)
 
 
 def test_custom_surrogate_reaches_the_optimizer():

@@ -11,11 +11,14 @@ rng) to round-trip through the checkpoint.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.campaign import CheckpointConfig, resume_campaign
 from repro.core import AgE, AgEBO, load_checkpoint, save_checkpoint
+from repro.core.config import ModelConfig
 from repro.core.serialization import (
     CHECKPOINT_VERSION,
     history_to_dict,
@@ -61,7 +64,8 @@ def test_checkpoint_version_round_trip(tmp_path):
     search = build_agebo(fake_eval)
     search.search(max_evaluations=8)
     path = tmp_path / "ck.json"
-    save_checkpoint(search, path, extra={"note": "hello"})
+    search.checkpoint_metadata = {"note": "hello"}
+    save_checkpoint(search, path)
     data = load_checkpoint(path)
     assert data["version"] == CHECKPOINT_VERSION
     assert data["algorithm"] == "AgEBO"
@@ -129,9 +133,8 @@ def test_agebo_resume_is_bit_identical(tmp_path):
     interrupted = build_agebo(fake_eval)
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
-    space = ArchitectureSpace(num_nodes=3)
-    hp_space = default_dataparallel_space(max_ranks=4)
-    resumed = AgEBO.resume(path, space, hp_space, fake_eval)
+    resumed = build_agebo(fake_eval)
+    resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
 
@@ -151,9 +154,8 @@ def test_agebo_resume_under_faults_is_bit_identical(tmp_path):
     interrupted = build_agebo(make_injector(), policy=policy)
     interrupted.search(max_evaluations=16, checkpoint_path=path, checkpoint_every=1)
 
-    space = ArchitectureSpace(num_nodes=3)
-    hp_space = default_dataparallel_space(max_ranks=4)
-    resumed = AgEBO.resume(path, space, hp_space, make_injector())
+    resumed = build_agebo(make_injector(), policy=policy)
+    resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=32)
     assert_identical_history(full, history)
     assert interrupted.evaluator.num_failures > 0  # faults actually fired
@@ -172,7 +174,8 @@ def test_age_resume_is_bit_identical(tmp_path):
 
     path = tmp_path / "ck.json"
     run().search(max_evaluations=12, checkpoint_path=path, checkpoint_every=1)
-    resumed = AgE.resume(path, space, fake_eval)
+    resumed = run()
+    resumed.load_state(load_checkpoint(path)["search"])
     history = resumed.search(max_evaluations=24)
     assert_identical_history(full, history)
 
@@ -184,9 +187,8 @@ def test_resume_restores_bo_observations(tmp_path):
     n_obs = interrupted.optimizer.num_observations
     rng_state = interrupted.optimizer._rng.bit_generator.state
 
-    space = ArchitectureSpace(num_nodes=3)
-    hp_space = default_dataparallel_space(max_ranks=4)
-    resumed = AgEBO.resume(path, space, hp_space, fake_eval)
+    resumed = build_agebo(fake_eval)
+    resumed.load_state(load_checkpoint(path)["search"])
     # The checkpoint is written at the last quiescent iteration boundary,
     # which may trail the in-memory search by at most one iteration.
     n_resumed = resumed.optimizer.num_observations
@@ -195,6 +197,78 @@ def test_resume_restores_bo_observations(tmp_path):
     assert resumed.optimizer._y == pytest.approx(interrupted.optimizer._y[:n_resumed])
     if n_resumed == n_obs:
         assert resumed.optimizer._rng.bit_generator.state == rng_state
+
+
+# --------------------------------------------------------------------- #
+# load_state checks the settings a checkpoint records
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize(
+    "kwargs,setting",
+    [
+        (dict(population_size=12), "population_size"),
+        (dict(sample_size=2), "sample_size"),
+        (dict(mutate_skips=False), "mutate_skips"),
+        (dict(replacement="elitist"), "replacement"),
+        (dict(kappa=1.96), "kappa"),
+        (dict(n_initial_points=4), "n_initial_points"),
+        (dict(lie_strategy="max"), "lie_strategy"),
+        (dict(surrogate="knn"), "surrogate"),
+    ],
+)
+def test_agebo_load_state_rejects_other_settings(tmp_path, kwargs, setting):
+    path = tmp_path / "ck.json"
+    build_agebo(fake_eval).search(max_evaluations=8, checkpoint_path=path)
+    ev = SimulatedEvaluator(fake_eval, num_workers=8)
+    other = AgEBO(
+        ArchitectureSpace(num_nodes=3), default_dataparallel_space(max_ranks=4), ev,
+        **{"population_size": 10, "sample_size": 3, "n_initial_points": 5, **kwargs},
+    )
+    with pytest.raises(ValueError, match=setting):
+        other.load_state(load_checkpoint(path)["search"])
+
+
+def test_age_load_state_rejects_other_hyperparameters(tmp_path):
+    space = ArchitectureSpace(num_nodes=3)
+    path = tmp_path / "ck.json"
+    ev = SimulatedEvaluator(fake_eval, num_workers=4)
+    AgE(space, ev, population_size=8, sample_size=3).search(
+        max_evaluations=8, checkpoint_path=path
+    )
+    other = AgE(space, SimulatedEvaluator(fake_eval, num_workers=4),
+                hyperparameters={"batch_size": 64}, population_size=8, sample_size=3)
+    with pytest.raises(ValueError, match="hyperparameters"):
+        other.load_state(load_checkpoint(path)["search"])
+
+
+@pytest.mark.parametrize(
+    "kwargs,setting",
+    [
+        (dict(num_workers=3), "num_workers"),
+        (dict(fault_policy=FaultPolicy(on_error="penalize")), "on_error"),
+        (dict(fault_policy=FaultPolicy(timeout=30.0)), "timeout"),
+        (dict(run_function=FaultInjector(fake_eval, crash_prob=0.1)), "fault injection"),
+    ],
+)
+def test_simulated_evaluator_load_state_rejects_other_settings(kwargs, setting):
+    ev = SimulatedEvaluator(fake_eval, num_workers=2)
+    ev.submit([ModelConfig(arch=np.zeros(3, dtype=np.int64),
+                           hyperparameters={"num_ranks": 1, "batch_size": 32})])
+    other = SimulatedEvaluator(**{"run_function": fake_eval, "num_workers": 2, **kwargs})
+    with pytest.raises(ValueError, match=setting):
+        other.load_state(ev.state_dict())
+
+
+def test_parent_written_checkpoint_still_resumes():
+    """A version-1 checkpoint of the golden faulty AgE campaign, written at
+    12 evaluations by the previous resume path, resumes to the golden
+    uninterrupted history."""
+    from tests.test_golden import GOLDEN, golden_digest
+
+    path = Path(__file__).parent / "data" / "age_faulty_half.ckpt"
+    campaign = resume_campaign(path, checkpoint=CheckpointConfig(path=None))
+    history = campaign.run()
+    assert len(history) == 24
+    assert golden_digest(history) == GOLDEN["resume"]
 
 
 def test_checkpoint_every_throttles_writes(tmp_path, monkeypatch):

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -131,6 +137,53 @@ def test_search_checkpoint_resume_round_trip(tmp_path):
     import json
 
     assert json.loads(full.read_text()) == json.loads(resumed.read_text())
+
+
+def _resume_in_subprocess(ck) -> subprocess.CompletedProcess:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", "search", "--resume", str(ck),
+         "--max-evaluations", "8"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    ck = tmp_path_factory.mktemp("cli") / "camp.ckpt"
+    run_cli([
+        "search", "--dataset", "covertype", "--method", "AgE", "--size", "300",
+        "--num-nodes", "2", "--epochs", "1", "--workers", "2", "--population", "4",
+        "--sample", "2", "--max-evaluations", "4", "--checkpoint", str(ck),
+    ])
+    return json.loads(ck.read_text())
+
+
+@pytest.mark.parametrize(
+    "tamper,message",
+    [
+        # A search state missing a key: a malformed checkpoint.
+        (lambda d: d["search"].pop("population"), "is malformed: KeyError('population')"),
+        # An embedded config that disagrees with the recorded search settings.
+        (lambda d: d["extra"]["campaign"]["search"].update(population_size=6),
+         "checkpoint has population_size=4, but this run has 6"),
+    ],
+    ids=["malformed", "mismatched"],
+)
+def test_search_resume_of_bad_checkpoint_exits_with_one_line(
+    tmp_path, small_checkpoint, tamper, message
+):
+    data = json.loads(json.dumps(small_checkpoint))
+    tamper(data)
+    ck = tmp_path / "bad.ckpt"
+    ck.write_text(json.dumps(data))
+    proc = _resume_in_subprocess(ck)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip().count("\n") == 0
+    assert proc.stderr.startswith(f"search: cannot resume from {ck}: ")
+    assert message in proc.stderr
 
 
 def test_search_with_fault_injection_penalizes():

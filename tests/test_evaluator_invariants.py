@@ -340,7 +340,11 @@ def contract_machine(backend):
         @rule()
         def checkpoint_and_resume(self):
             state = json.loads(json.dumps(self.ev.state_dict()))
-            self.ev = SimulatedEvaluator(contract_run, self.num_workers)
+            # load_state checks the policy and cache mode rather than
+            # assigning them, so the fresh evaluator is built with both.
+            self.ev = make_evaluator(
+                backend, contract_run, self.num_workers, self.policy, EvaluationCache()
+            )
             self.ev.load_state(state)
 
         @invariant()
