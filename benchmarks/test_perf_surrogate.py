@@ -93,9 +93,7 @@ def test_perf_forest_and_ask():
         # the reference side swaps in the argsort forest for the call.
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(optimizer_module, "RandomForestRegressor", forest_cls)
-            opt = BayesianOptimizer(
-                space, seed=6, forest=forest_cls(n_trees=N_TREES, max_depth=10)
-            )
+            opt = BayesianOptimizer(space, seed=6)
             opt.tell(configs, values)
             opt.ask(4)
 

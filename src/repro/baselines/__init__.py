@@ -5,7 +5,7 @@ Everything is built from scratch on numpy:
 - classical learners: CART, random forest, extra trees, gradient boosting,
   k-nearest neighbours, multinomial logistic regression;
 - ensembling: greedy weighted ensemble selection (the Caruana-style
-  procedure AutoGluon uses) and stacking;
+  procedure AutoGluon uses);
 - :class:`AutoGluonLike` — multi-learner AutoML with a stacked weighted
   ensemble, used for the Table II accuracy/inference-time comparison;
 - :class:`AutoPyTorchLike` — a restricted funnel-MLP NAS with successive
@@ -19,7 +19,7 @@ from repro.baselines.gboost import GradientBoostingClassifier
 from repro.baselines.knn import KNeighborsClassifier
 from repro.baselines.linear import LogisticRegression
 from repro.baselines.neural import MLPClassifier
-from repro.baselines.ensemble import StackingEnsemble, WeightedEnsemble
+from repro.baselines.ensemble import WeightedEnsemble
 from repro.baselines.autogluon_like import AutoGluonLike
 from repro.baselines.autopytorch_like import AutoPyTorchLike
 
@@ -33,7 +33,6 @@ __all__ = [
     "LogisticRegression",
     "MLPClassifier",
     "WeightedEnsemble",
-    "StackingEnsemble",
     "AutoGluonLike",
     "AutoPyTorchLike",
 ]

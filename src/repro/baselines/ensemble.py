@@ -1,10 +1,8 @@
-"""Ensembling strategies used by the AutoML baselines.
+"""Ensembling used by the AutoML baselines.
 
-- :class:`WeightedEnsemble` — greedy ensemble selection with replacement
-  (Caruana et al., 2004), the procedure AutoGluon uses to weight its base
-  models on validation data.
-- :class:`StackingEnsemble` — a logistic-regression meta-learner over the
-  concatenated base-model probability vectors (AutoGluon's ``auto_stack``).
+:class:`WeightedEnsemble` is greedy ensemble selection with replacement
+(Caruana et al., 2004), the procedure AutoGluon uses to weight its base
+models on validation data.
 """
 
 from __future__ import annotations
@@ -12,9 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.baselines.base import BaseClassifier
-from repro.baselines.linear import LogisticRegression
 
-__all__ = ["WeightedEnsemble", "StackingEnsemble"]
+__all__ = ["WeightedEnsemble"]
 
 
 class WeightedEnsemble(BaseClassifier):
@@ -66,30 +63,3 @@ class WeightedEnsemble(BaseClassifier):
                 out += w * model.predict_proba(X)
         return out
 
-
-class StackingEnsemble(BaseClassifier):
-    """Logistic meta-learner over base-model probabilities."""
-
-    def __init__(self, n_classes: int, models: list[BaseClassifier]) -> None:
-        super().__init__(n_classes)
-        if not models:
-            raise ValueError("need at least one base model")
-        self.models = list(models)
-        self._meta: LogisticRegression | None = None
-
-    def fit_meta(
-        self, X_valid: np.ndarray, y_valid: np.ndarray, rng: np.random.Generator
-    ) -> "StackingEnsemble":
-        """Fit the meta-learner on held-out validation predictions."""
-        features = self._meta_features(X_valid)
-        self._meta = LogisticRegression(self.n_classes, n_iter=300)
-        self._meta.fit(features, np.asarray(y_valid, dtype=np.int64), rng)
-        return self
-
-    def _meta_features(self, X: np.ndarray) -> np.ndarray:
-        return np.concatenate([m.predict_proba(X) for m in self.models], axis=1)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self._meta is None:
-            raise RuntimeError("meta-learner is not fitted")
-        return self._meta.predict_proba(self._meta_features(X))

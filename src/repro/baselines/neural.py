@@ -1,12 +1,16 @@
-"""Plain MLP classifier wrapping the nn substrate (baseline NN learner)."""
+"""Plain MLP classifier wrapping the nn substrate (baseline NN learner).
+
+It trains through :class:`~repro.dataparallel.DataParallelTrainer` with one
+rank, the same loop and recipe as every searched candidate.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.baselines.base import BaseClassifier, check_Xy
+from repro.dataparallel.trainer import DataParallelTrainer
 from repro.nn.graph_network import ArchitectureSpec, GraphNetwork, NodeOp
-from repro.nn.trainer import Trainer
 
 __all__ = ["MLPClassifier"]
 
@@ -62,7 +66,8 @@ class MLPClassifier(BaseClassifier):
             X_valid, y_valid = X[:n_val], y[:n_val]
             X, y = X[n_val:], y[n_val:]
         self._net = self._build(rng)
-        result = Trainer(
+        result = DataParallelTrainer(
+            num_ranks=1,
             epochs=self.epochs,
             batch_size=self.batch_size,
             learning_rate=self.learning_rate,

@@ -7,12 +7,11 @@ asynchronous HPO), so both paths avoid per-row Python work.
 
 ``fit`` evaluates every threshold of a feature in one pass using cumulative
 sums of ``y`` and ``y²`` over the sorted column (variance reduction in
-O(n) per feature per node).  When every split considers every feature (the
-BO spaces, which have a handful of dimensions), columns are argsorted
-**once** per tree and the sorted index cache is partitioned into the child
-nodes at every split, so no node below the root pays an argsort; otherwise
-each node argsorts the columns it samples.  The partition is stable, which
-keeps the chosen splits bit-identical between the two.
+O(n) per feature per node).  Columns are argsorted **once** per tree and
+the sorted index cache is partitioned into the child nodes at every split,
+so no node below the root pays an argsort.  The partition is stable, so
+the chosen splits are bit-identical to a per-node argsort of the sampled
+columns (the reference twin in ``tests/reference/``).
 
 After ``fit`` the tree's node lists freeze into contiguous numpy arrays
 (:meth:`RegressionTree._finalize`) and ``predict`` is an iterative,
@@ -85,15 +84,8 @@ class RegressionTree:
         self._left.clear()
         self._right.clear()
         self._value.clear()
-        if self.max_features is None or self.max_features >= X.shape[1]:
-            # One stable argsort per column; children inherit partitions.
-            # Cache upkeep scales with the full feature count while the
-            # benefit scales with features-per-split, so the cache only pays
-            # when splits consider every column (true for the BO spaces,
-            # which have a handful of dimensions).
-            sorted_idx = np.argsort(X, axis=0, kind="stable")
-        else:
-            sorted_idx = None
+        # One stable argsort per column; children inherit partitions.
+        sorted_idx = np.argsort(X, axis=0, kind="stable")
         self._build(X, y, np.arange(X.shape[0]), sorted_idx, depth=0, rng=rng)
         self._finalize()
         return self
@@ -120,7 +112,7 @@ class RegressionTree:
         X: np.ndarray,
         y: np.ndarray,
         idx: np.ndarray,
-        sorted_idx: np.ndarray | None,
+        sorted_idx: np.ndarray,
         depth: int,
         rng: np.random.Generator,
     ) -> int:
@@ -132,7 +124,7 @@ class RegressionTree:
             or np.ptp(y_node) == 0.0
         ):
             return node
-        split = self._best_split(X, y, idx, y_node, sorted_idx, rng)
+        split = self._best_split(X, y, y_node, sorted_idx, rng)
         if split is None:
             return node
         feature, threshold = split
@@ -141,12 +133,9 @@ class RegressionTree:
         right_idx = idx[~mask]
         if left_idx.size == 0 or right_idx.size == 0:
             return node
-        if sorted_idx is not None:
-            left_sorted, right_sorted = self._partition_sorted(
-                X, sorted_idx, left_idx, feature, threshold
-            )
-        else:
-            left_sorted = right_sorted = None
+        left_sorted, right_sorted = self._partition_sorted(
+            X, sorted_idx, left_idx, feature, threshold
+        )
         self._feature[node] = feature
         self._threshold[node] = threshold
         self._left[node] = self._build(X, y, left_idx, left_sorted, depth + 1, rng)
@@ -184,54 +173,6 @@ class RegressionTree:
         self,
         X: np.ndarray,
         y: np.ndarray,
-        idx: np.ndarray,
-        y_node: np.ndarray,
-        sorted_idx: np.ndarray | None,
-        rng: np.random.Generator,
-    ) -> tuple[int, float] | None:
-        if sorted_idx is not None:
-            return self._best_split_sorted(X, y, y_node, sorted_idx, rng)
-        n_features = X.shape[1]
-        k = n_features if self.max_features is None else min(self.max_features, n_features)
-        features = rng.choice(n_features, size=k, replace=False)
-        n = idx.size
-        total_sum = y_node.sum()
-        best_score = np.inf  # weighted child SSE; parent SSE is constant
-        best: tuple[int, float] | None = None
-        counts = np.arange(1, n)  # left sizes (shared across features)
-        right_counts = n - counts
-        for f in features:
-            col = X[idx, f]
-            order = np.argsort(col, kind="stable")
-            xs = col[order]
-            ys = y_node[order]
-            # Candidate split after position i (1..n-1) only where x changes.
-            csum = np.cumsum(ys)
-            csum2 = np.cumsum(ys * ys)
-            left_sum = csum[:-1]
-            left_sum2 = csum2[:-1]
-            right_sum = total_sum - left_sum
-            right_sum2 = csum2[-1] - left_sum2
-            sse = (
-                left_sum2
-                - left_sum * left_sum / counts
-                + right_sum2
-                - right_sum * right_sum / right_counts
-            )
-            valid = xs[1:] > xs[:-1]
-            if not valid.any():
-                continue
-            sse = np.where(valid, sse, np.inf)
-            pos = int(np.argmin(sse))
-            if sse[pos] < best_score:
-                best_score = float(sse[pos])
-                best = (int(f), float(0.5 * (xs[pos] + xs[pos + 1])))
-        return best
-
-    def _best_split_sorted(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
         y_node: np.ndarray,
         sorted_idx: np.ndarray,
         rng: np.random.Generator,
@@ -239,9 +180,9 @@ class RegressionTree:
         """All candidate features scored in one (n, k) cumsum batch.
 
         Column-wise ``cumsum`` accumulates sequentially per column, so the
-        SSE floats match the reference loop bit for bit; the flat argmin
-        over the feature-major (k, n-1) matrix reproduces its tie
-        breaking (first sampled feature, then first position, wins).
+        SSE floats match a per-feature loop bit for bit; the flat argmin
+        over the feature-major (k, n-1) matrix breaks ties the same way
+        (first sampled feature, then first position, wins).
         """
         n_features = X.shape[1]
         k = n_features if self.max_features is None else min(self.max_features, n_features)

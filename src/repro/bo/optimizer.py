@@ -25,6 +25,12 @@ from repro.searchspace.hpspace import HyperparameterSpace
 
 __all__ = ["BayesianOptimizer"]
 
+# Random candidates scored by UCB per selected configuration.
+CANDIDATE_POOL_SIZE = 500
+# Shape of the surrogate forest refit on every ask.
+FOREST_TREES = 25
+FOREST_MAX_DEPTH = 10
+
 
 class BayesianOptimizer:
     """Asynchronous BO over a :class:`HyperparameterSpace`.
@@ -38,13 +44,8 @@ class BayesianOptimizer:
         (strong exploitation), with {1.96, 19.6} studied in Fig. 8.
     n_initial_points:
         Observations required before the surrogate is trusted.
-    candidate_pool_size:
-        Random candidates scored per selection.
     lie_strategy:
         Constant-liar dummy value policy (paper: ``"mean"``).
-    refit_every_lie:
-        If True (paper behaviour) the surrogate is refit after each lie;
-        False refits once per :meth:`ask` batch (cheaper, less diverse).
     surrogate:
         ``"forest"`` (paper), ``"knn"`` (ablation) or ``"random"``
         (ablation baseline: :meth:`ask` always samples uniformly).
@@ -55,19 +56,14 @@ class BayesianOptimizer:
         space: HyperparameterSpace,
         kappa: float = 0.001,
         n_initial_points: int = 10,
-        candidate_pool_size: int = 500,
         lie_strategy: str = "mean",
-        refit_every_lie: bool = True,
         surrogate: str = "forest",
-        forest: RandomForestRegressor | None = None,
         seed: int | np.random.Generator = 0,
     ) -> None:
         if kappa < 0:
             raise ValueError("kappa must be >= 0")
         if n_initial_points < 1:
             raise ValueError("n_initial_points must be >= 1")
-        if candidate_pool_size < 1:
-            raise ValueError("candidate_pool_size must be >= 1")
         if surrogate not in ("forest", "knn", "random"):
             # Extension point: the campaign layer's surrogate registry can
             # supply additional surrogates by name.
@@ -81,11 +77,8 @@ class BayesianOptimizer:
         self.space = space
         self.kappa = kappa
         self.n_initial_points = n_initial_points
-        self.candidate_pool_size = candidate_pool_size
         self.lie_strategy = lie_strategy
-        self.refit_every_lie = refit_every_lie
         self.surrogate = surrogate
-        self._forest_proto = forest or RandomForestRegressor(n_trees=25, max_depth=10)
         self._rng = (
             seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         )
@@ -125,11 +118,11 @@ class BayesianOptimizer:
         y = np.empty(n + k, dtype=float)
         y[:n] = self._y
         lie = constant_lie(y[:n], self.lie_strategy)
-        candidates = np.empty((self.candidate_pool_size, d), dtype=float)
+        candidates = np.empty((CANDIDATE_POOL_SIZE, d), dtype=float)
         batch: list[dict[str, Any]] = []
         model = self._fit_surrogate(X[:n], y[:n])
         for j in range(k):
-            for i in range(self.candidate_pool_size):
+            for i in range(CANDIDATE_POOL_SIZE):
                 candidates[i] = self.space.sample_array(self._rng)
             mu, sigma = model.predict(candidates)
             scores = upper_confidence_bound(mu, sigma, self.kappa)
@@ -137,7 +130,9 @@ class BayesianOptimizer:
             batch.append(self.space.from_array(best))
             X[n + j] = best
             y[n + j] = lie
-            if self.refit_every_lie and len(batch) < k:
+            if len(batch) < k:
+                # Refit after every lie (paper behaviour), so the next pick
+                # sees the pending configurations.
                 model = self._fit_surrogate(X[: n + j + 1], y[: n + j + 1])
         return batch
 
@@ -148,15 +143,10 @@ class BayesianOptimizer:
             from repro.campaign.registry import SURROGATES
 
             return SURROGATES.get(self.surrogate)().fit(X, y, self._rng)
-        forest = RandomForestRegressor(
-            n_trees=self._forest_proto.n_trees,
-            max_depth=self._forest_proto.max_depth,
-            min_samples_split=self._forest_proto.min_samples_split,
-            max_features=self._forest_proto.max_features,
-            bootstrap=self._forest_proto.bootstrap,
-        )
-        forest.fit(X, y, self._rng)
-        return forest
+        # Looked up by module-level name on every fit, so a benchmark can
+        # swap the forest class in.
+        forest = RandomForestRegressor(n_trees=FOREST_TREES, max_depth=FOREST_MAX_DEPTH)
+        return forest.fit(X, y, self._rng)
 
     # ------------------------------------------------------------------ #
     # Checkpointing: the tell-history plus the RNG state is the complete

@@ -87,16 +87,3 @@ class SearchHistory:
         times, objs = self.best_so_far()
         hit = np.nonzero(objs >= threshold)[0]
         return float(times[hit[0]]) if hit.size else None
-
-    def to_rows(self) -> list[dict[str, Any]]:
-        """Plain-dict export for report tables."""
-        return [
-            {
-                "objective": r.objective,
-                "duration": r.duration,
-                "end_time": r.end_time,
-                **{f"hp_{k}": v for k, v in r.config.hyperparameters.items()},
-                **{f"meta_{k}": v for k, v in r.metadata.items() if np.isscalar(v)},
-            }
-            for r in self.records
-        ]

@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.config import ModelConfig
 from repro.core.results import EvaluationRecord, SearchHistory
 from repro.nn.graph_network import GraphNetwork
+from repro.workflow.jobs import jsonable_metadata
 
 __all__ = [
     "history_to_dict",
@@ -47,20 +48,6 @@ _FORMAT_VERSION = 1
 CHECKPOINT_VERSION = 1
 
 
-def _scalar_metadata(metadata: dict[str, Any], lists: bool = False) -> dict[str, Any]:
-    out = {}
-    for key, value in metadata.items():
-        if isinstance(value, (bool, int, float, str)):
-            out[key] = value
-        elif isinstance(value, (np.integer, np.floating)):
-            out[key] = value.item()
-        elif lists and isinstance(value, (list, tuple)) and all(
-            isinstance(v, (bool, int, float, str, np.integer, np.floating)) for v in value
-        ):
-            out[key] = [v.item() if isinstance(v, (np.integer, np.floating)) else v for v in value]
-    return out
-
-
 def record_to_dict(record: EvaluationRecord, rich_metadata: bool = False) -> dict[str, Any]:
     """JSON-safe representation of one evaluation record.
 
@@ -76,7 +63,7 @@ def record_to_dict(record: EvaluationRecord, rich_metadata: bool = False) -> dic
         "submit_time": record.submit_time,
         "start_time": record.start_time,
         "end_time": record.end_time,
-        "metadata": _scalar_metadata(record.metadata, lists=rich_metadata),
+        "metadata": jsonable_metadata(record.metadata, lists=rich_metadata),
     }
 
 

@@ -17,7 +17,7 @@ from repro.dataparallel.allreduce import (
     ring_transfer_stats,
 )
 from repro.dataparallel.scaling import linear_scaled_batch_size, linear_scaled_lr
-from repro.dataparallel.trainer import DataParallelTrainer
+from repro.dataparallel.trainer import DataParallelTrainer, TrainResult
 from repro.dataparallel.costmodel import TrainingCostModel
 from repro.dataparallel.multinode import MultiNodeCostModel
 
@@ -30,5 +30,6 @@ __all__ = [
     "linear_scaled_lr",
     "linear_scaled_batch_size",
     "DataParallelTrainer",
+    "TrainResult",
     "TrainingCostModel",
 ]

@@ -26,9 +26,15 @@ The ``(n, P)`` matrix then goes through :class:`RingReducer` (``ring``)
 or :func:`allreduce_mean_flat` (``mean``), and Adam consumes the reduced
 mean through per-parameter views.  The per-rank list reference these
 paths are gated against lives in ``tests/reference/``.
+
+With ``num_ranks=1`` the loop is plain single-process training under the
+paper's recipe; the MLP baselines (:mod:`repro.baselines.neural`) train
+that way, so every network in the repository goes through this one loop.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,9 +50,20 @@ from repro.nn.losses import softmax_cross_entropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import Adam
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
-from repro.nn.trainer import TrainResult
 
-__all__ = ["DataParallelTrainer"]
+__all__ = ["DataParallelTrainer", "TrainResult"]
+
+
+@dataclass
+class TrainResult:
+    """Outcome of one training run."""
+
+    best_val_accuracy: float
+    final_val_accuracy: float
+    epoch_val_accuracies: list[float] = field(default_factory=list)
+    epoch_train_losses: list[float] = field(default_factory=list)
+    best_weights: list[np.ndarray] | None = None
+    diverged: bool = False  # training aborted on a non-finite loss
 
 
 class DataParallelTrainer:

@@ -79,10 +79,6 @@ class ArchitectureSpec:
     def num_nodes(self) -> int:
         return len(self.node_ops)
 
-    def active_depth(self) -> int:
-        """Number of non-identity dense layers."""
-        return sum(0 if op.is_identity else 1 for op in self.node_ops)
-
 
 class GraphNetwork:
     """Trainable network built from an :class:`ArchitectureSpec`.

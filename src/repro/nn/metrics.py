@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["accuracy", "confusion_counts"]
+__all__ = ["accuracy"]
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -15,11 +15,3 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
         return 0.0
     return float((logits.argmax(axis=1) == labels).mean())
 
-
-def confusion_counts(logits: np.ndarray, labels: np.ndarray, n_classes: int) -> np.ndarray:
-    """Return the ``(n_classes, n_classes)`` confusion matrix of counts."""
-    preds = np.asarray(logits).argmax(axis=1)
-    labels = np.asarray(labels)
-    mat = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(mat, (labels, preds), 1)
-    return mat

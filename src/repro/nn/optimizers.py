@@ -1,7 +1,6 @@
 """Gradient-descent optimizers.
 
-The paper trains every candidate with Adam (Kingma & Ba); SGD with momentum
-is included for completeness and for baseline models.  Optimizers mutate
+The paper trains every candidate with Adam (Kingma & Ba).  Optimizers mutate
 parameter ``.data`` in place (guides: prefer in-place updates to avoid
 reallocating large buffers every step).
 """
@@ -12,7 +11,7 @@ import numpy as np
 
 from repro.nn.autograd import Tensor
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -48,28 +47,6 @@ class Optimizer:
         for p, g in zip(self.parameters, grads):
             p.grad = g
         self.step()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, parameters: list[Tensor], lr: float, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
 
 
 class Adam(Optimizer):

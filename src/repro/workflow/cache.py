@@ -42,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.workflow.jobs import EvaluationResult
+from repro.workflow.jobs import EvaluationResult, result_from_dict, result_to_dict
 
 __all__ = ["EvaluationCache", "canonical_config_key", "CACHE_MODES"]
 
@@ -163,21 +163,12 @@ class EvaluationCache:
     # ------------------------------------------------------------------ #
     def state_dict(self) -> dict[str, Any]:
         """JSON-safe snapshot of all entries and counters."""
-        from repro.workflow.jobs import _jsonable_metadata
-
         return {
             "version": 1,
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
-            "entries": {
-                key: {
-                    "objective": r.objective,
-                    "duration": r.duration,
-                    "metadata": _jsonable_metadata(r.metadata),
-                }
-                for key, r in self._entries.items()
-            },
+            "entries": {key: result_to_dict(r) for key, r in self._entries.items()},
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
@@ -189,11 +180,4 @@ class EvaluationCache:
         self.hits = int(state["hits"])
         self.misses = int(state["misses"])
         self.stores = int(state["stores"])
-        self._entries = {
-            key: EvaluationResult(
-                objective=float(row["objective"]),
-                duration=float(row["duration"]),
-                metadata=dict(row.get("metadata", {})),
-            )
-            for key, row in state["entries"].items()
-        }
+        self._entries = {key: result_from_dict(row) for key, row in state["entries"].items()}

@@ -410,10 +410,6 @@ class SimulatedEvaluator(Evaluator):
         return self._clock
 
     @property
-    def num_free_workers(self) -> int:
-        return len(self._free_workers)
-
-    @property
     def num_alive_workers(self) -> int:
         return self.num_workers - len(self._dead_workers)
 

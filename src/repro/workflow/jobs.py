@@ -8,7 +8,16 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["JobState", "EvaluationResult", "Job", "job_to_dict", "job_from_dict"]
+__all__ = [
+    "JobState",
+    "EvaluationResult",
+    "Job",
+    "job_to_dict",
+    "job_from_dict",
+    "jsonable_metadata",
+    "result_to_dict",
+    "result_from_dict",
+]
 
 
 class JobState(enum.Enum):
@@ -83,21 +92,44 @@ class Job:
 
 
 # --------------------------------------------------------------------- #
-# Checkpoint (de)serialization
+# JSON (de)serialization: checkpoints, the cache and saved histories
 # --------------------------------------------------------------------- #
-def _jsonable_metadata(metadata: dict[str, Any]) -> dict[str, Any]:
-    """Scalar and list-of-scalar metadata entries; everything else dropped."""
+def jsonable_metadata(metadata: dict[str, Any], lists: bool = True) -> dict[str, Any]:
+    """Scalar metadata entries, plus list-of-scalar ones when ``lists``.
+
+    Checkpoints keep lists (per-epoch curves) so a resume is exact; the
+    version-1 history format keeps scalars only.  Everything else is
+    dropped.
+    """
     out: dict[str, Any] = {}
     for key, value in metadata.items():
         if isinstance(value, (bool, int, float, str)):
             out[key] = value
         elif isinstance(value, (np.integer, np.floating)):
             out[key] = value.item()
-        elif isinstance(value, (list, tuple)) and all(
+        elif lists and isinstance(value, (list, tuple)) and all(
             isinstance(v, (bool, int, float, str, np.integer, np.floating)) for v in value
         ):
             out[key] = [v.item() if isinstance(v, (np.integer, np.floating)) else v for v in value]
     return out
+
+
+def result_to_dict(result: EvaluationResult) -> dict[str, Any]:
+    """JSON-safe snapshot of a result, list metadata included."""
+    return {
+        "objective": result.objective,
+        "duration": result.duration,
+        "metadata": jsonable_metadata(result.metadata),
+    }
+
+
+def result_from_dict(row: dict[str, Any]) -> EvaluationResult:
+    """Inverse of :func:`result_to_dict`."""
+    return EvaluationResult(
+        objective=float(row["objective"]),
+        duration=float(row["duration"]),
+        metadata=dict(row.get("metadata", {})),
+    )
 
 
 def _config_to_jsonable(config: Any) -> Any:
@@ -138,13 +170,7 @@ def job_to_dict(job: Job) -> dict[str, Any]:
         "attempt": job.attempt,
         "error": job.error,
         "cache_hit": job.cache_hit,
-        "result": None
-        if job.result is None
-        else {
-            "objective": job.result.objective,
-            "duration": job.result.duration,
-            "metadata": _jsonable_metadata(job.result.metadata),
-        },
+        "result": None if job.result is None else result_to_dict(job.result),
     }
 
 
@@ -163,11 +189,5 @@ def job_from_dict(data: dict[str, Any]) -> Job:
         attempt=int(data.get("attempt", 0)),
         error=data.get("error"),
         cache_hit=bool(data.get("cache_hit", False)),
-        result=None
-        if result is None
-        else EvaluationResult(
-            objective=float(result["objective"]),
-            duration=float(result["duration"]),
-            metadata=dict(result.get("metadata", {})),
-        ),
+        result=None if result is None else result_from_dict(result),
     )

@@ -1,9 +1,9 @@
 """Reference twins of the vectorized forest surrogate.
 
 - :class:`ArgsortTree` grows a :class:`~repro.bo.forest.RegressionTree`
-  with a fresh per-node argsort of every sampled column, never the
-  presorted index cache the production tree reuses when splits consider
-  every feature;
+  with a fresh per-node argsort of every sampled column and a per-feature
+  split loop, never the presorted index cache and batched split scoring
+  of the production tree;
 - :class:`ArgsortForest` fits a forest out of such trees;
 - :func:`predict_recursive` / :func:`forest_predict_reference` route one
   row at a time through Python recursion instead of the level walks.
@@ -17,10 +17,75 @@ from repro.bo.forest import RandomForestRegressor, RegressionTree
 
 
 class ArgsortTree(RegressionTree):
-    """A tree whose every node re-argsorts its rows per sampled feature."""
+    """A tree whose every node re-argsorts its rows per sampled feature.
+
+    It grows nodes in the production order and draws the same
+    ``rng.choice`` per split, ignoring the sorted index cache ``fit``
+    passes in.
+    """
 
     def _build(self, X, y, idx, sorted_idx, depth, rng):
-        return super()._build(X, y, idx, None, depth, rng)
+        y_node = y[idx]
+        node = self._new_node(float(y_node.mean()))
+        if (
+            depth >= self.max_depth
+            or idx.size < self.min_samples_split
+            or np.ptp(y_node) == 0.0
+        ):
+            return node
+        split = self._argsort_split(X, idx, y_node, rng)
+        if split is None:
+            return node
+        feature, threshold = split
+        mask = X[idx, feature] <= threshold
+        left_idx = idx[mask]
+        right_idx = idx[~mask]
+        if left_idx.size == 0 or right_idx.size == 0:
+            return node
+        self._feature[node] = feature
+        self._threshold[node] = threshold
+        self._left[node] = self._build(X, y, left_idx, None, depth + 1, rng)
+        self._right[node] = self._build(X, y, right_idx, None, depth + 1, rng)
+        return node
+
+    def _argsort_split(self, X, idx, y_node, rng):
+        """Best (feature, threshold) by one argsort and cumsum per feature."""
+        n_features = X.shape[1]
+        k = n_features if self.max_features is None else min(self.max_features, n_features)
+        features = rng.choice(n_features, size=k, replace=False)
+        n = idx.size
+        total_sum = y_node.sum()
+        best_score = np.inf  # weighted child SSE; parent SSE is constant
+        best = None
+        counts = np.arange(1, n)  # left sizes (shared across features)
+        right_counts = n - counts
+        for f in features:
+            col = X[idx, f]
+            order = np.argsort(col, kind="stable")
+            xs = col[order]
+            ys = y_node[order]
+            # Candidate split after position i (1..n-1) only where x changes.
+            csum = np.cumsum(ys)
+            csum2 = np.cumsum(ys * ys)
+            left_sum = csum[:-1]
+            left_sum2 = csum2[:-1]
+            right_sum = total_sum - left_sum
+            right_sum2 = csum2[-1] - left_sum2
+            sse = (
+                left_sum2
+                - left_sum * left_sum / counts
+                + right_sum2
+                - right_sum * right_sum / right_counts
+            )
+            valid = xs[1:] > xs[:-1]
+            if not valid.any():
+                continue
+            sse = np.where(valid, sse, np.inf)
+            pos = int(np.argmin(sse))
+            if sse[pos] < best_score:
+                best_score = float(sse[pos])
+                best = (int(f), float(0.5 * (xs[pos] + xs[pos + 1])))
+        return best
 
 
 class ArgsortForest(RandomForestRegressor):

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dataparallel import DataParallelTrainer
+from repro.dataparallel import DataParallelTrainer, TrainResult
 from repro.dataparallel.scaling import linear_scaled_lr
 from repro.dataparallel.sharding import shard_indices
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import Adam
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
-from repro.nn.trainer import TrainResult
 
 from tests.reference.allreduce import allreduce_mean, ring_allreduce_reference
 

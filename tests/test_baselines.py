@@ -13,7 +13,6 @@ from repro.baselines import (
     LogisticRegression,
     MLPClassifier,
     RandomForestClassifier,
-    StackingEnsemble,
     WeightedEnsemble,
 )
 
@@ -203,16 +202,3 @@ def test_weighted_ensemble_validation():
         WeightedEnsemble(3, [])
     with pytest.raises(ValueError):
         WeightedEnsemble(3, [LogisticRegression(3)], n_rounds=0)
-
-
-def test_stacking_ensemble_predicts(blobs):
-    X_tr, y_tr, X_te, y_te = blobs
-    models = fit_base_models(blobs)
-    stack = StackingEnsemble(3, models).fit_meta(X_te, y_te, np.random.default_rng(0))
-    assert stack.score(X_te, y_te) > 0.85
-
-
-def test_stacking_unfitted_raises(blobs):
-    models = fit_base_models(blobs)
-    with pytest.raises(RuntimeError):
-        StackingEnsemble(3, models).predict_proba(np.zeros((2, 6)))

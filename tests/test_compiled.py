@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Trainer
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
 
@@ -77,7 +77,9 @@ def test_five_epoch_training_equivalence(name):
     weights = {}
     for backend in ("eager", "compiled"):
         model = GraphNetwork(SPECS[name], N_FEATURES, N_CLASSES, np.random.default_rng(5))
-        trainer = Trainer(epochs=5, batch_size=64, learning_rate=0.01, backend=backend)
+        trainer = DataParallelTrainer(
+            num_ranks=1, epochs=5, batch_size=64, learning_rate=0.01, backend=backend
+        )
         results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(9))
         weights[backend] = model.get_weights()
 

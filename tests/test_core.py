@@ -93,14 +93,6 @@ def test_history_empty_edge_cases():
         h.best()
 
 
-def test_history_to_rows():
-    h = SearchHistory()
-    h.add(record(0.5, 1.0))
-    rows = h.to_rows()
-    assert rows[0]["objective"] == 0.5
-    assert rows[0]["hp_batch_size"] == 256
-
-
 # --------------------------------------------------------------------- #
 # ModelEvaluation
 # --------------------------------------------------------------------- #

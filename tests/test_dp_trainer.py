@@ -1,4 +1,8 @@
-"""Unit tests for the data-parallel trainer (Horovod-equivalent semantics)."""
+"""Unit tests for the data-parallel trainer (Horovod-equivalent semantics).
+
+With ``num_ranks=1`` the same trainer is plain training, the loop the MLP
+baselines use; the ``test_single_rank_*`` cases cover that case.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Trainer
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
+from repro.nn.metrics import accuracy
 
 from conftest import make_blobs
 
@@ -48,22 +53,6 @@ def test_fused_path_matches_per_rank(rng):
     np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=1e-6)
 
 
-def test_single_rank_matches_reference_trainer():
-    """n=1 data-parallel must reduce to the plain training loop."""
-    X, y = make_blobs(np.random.default_rng(2), n=300)
-    net_a = build(seed=7)
-    net_b = build(seed=7)
-    dp = DataParallelTrainer(num_ranks=1, epochs=3, batch_size=32, learning_rate=0.01).fit(
-        net_a, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(11)
-    )
-    # The reference Trainer permutes all of X; the DP trainer with 1 rank has
-    # one shard = everything, so the dynamics are the same distributionally.
-    ref = Trainer(epochs=3, batch_size=32, learning_rate=0.01).fit(
-        net_b, X[:240], y[:240], X[240:], y[240:], np.random.default_rng(11)
-    )
-    assert abs(dp.best_val_accuracy - ref.best_val_accuracy) < 0.1
-
-
 def test_scaled_lr_applied():
     X, y = make_blobs(np.random.default_rng(3), n=200)
     net = build(seed=1)
@@ -95,6 +84,70 @@ def test_training_learns(rng):
         net, X[:400], y[:400], X[400:], y[400:], rng
     )
     assert result.best_val_accuracy > 0.8
+
+
+def test_single_rank_improves_over_initialization(rng):
+    X, y = make_blobs(rng)
+    net = build()
+    before = accuracy(net.predict_logits(X[300:]), y[300:])
+    result = DataParallelTrainer(num_ranks=1, epochs=10, batch_size=32, learning_rate=0.01).fit(
+        net, X[:300], y[:300], X[300:], y[300:], rng
+    )
+    assert result.best_val_accuracy > before
+    assert result.best_val_accuracy > 0.8  # separable blobs
+
+
+def test_single_rank_history_lengths_match_epochs(rng):
+    X, y = make_blobs(rng, n=120)
+    result = DataParallelTrainer(num_ranks=1, epochs=4, batch_size=32).fit(
+        build(), X[:90], y[:90], X[90:], y[90:], rng
+    )
+    assert len(result.epoch_val_accuracies) == 4
+    assert len(result.epoch_train_losses) == 4
+    assert result.final_val_accuracy == result.epoch_val_accuracies[-1]
+    assert result.best_val_accuracy == max(result.epoch_val_accuracies)
+
+
+def test_single_rank_keep_best_weights_restorable(rng):
+    X, y = make_blobs(rng, n=200)
+    net = build()
+    result = DataParallelTrainer(num_ranks=1, epochs=6, batch_size=32, keep_best_weights=True).fit(
+        net, X[:150], y[:150], X[150:], y[150:], rng
+    )
+    assert result.best_weights is not None
+    net.set_weights(result.best_weights)
+    restored = accuracy(net.predict_logits(X[150:]), y[150:])
+    np.testing.assert_allclose(restored, result.best_val_accuracy)
+
+
+def test_single_rank_deterministic_given_seed():
+    X, y = make_blobs(np.random.default_rng(0), n=200)
+
+    def run():
+        return DataParallelTrainer(num_ranks=1, epochs=3, batch_size=32).fit(
+            build(seed=5), X[:150], y[:150], X[150:], y[150:], np.random.default_rng(42)
+        )
+
+    a, b = run(), run()
+    np.testing.assert_array_equal(a.epoch_val_accuracies, b.epoch_val_accuracies)
+    np.testing.assert_array_equal(a.epoch_train_losses, b.epoch_train_losses)
+
+
+def test_single_rank_empty_training_set_raises(rng):
+    with pytest.raises(ValueError):
+        DataParallelTrainer(num_ranks=1, epochs=1).fit(
+            build(), np.zeros((0, 8)), np.zeros(0, dtype=int),
+            np.zeros((2, 8)), np.zeros(2, dtype=int), rng,
+        )
+
+
+def test_single_rank_loss_decreases_on_average(rng):
+    X, y = make_blobs(rng, n=400)
+    result = DataParallelTrainer(num_ranks=1, epochs=8, batch_size=32, learning_rate=0.01).fit(
+        build(), X[:300], y[:300], X[300:], y[300:], rng
+    )
+    first, last = result.epoch_train_losses[0], result.epoch_train_losses[-1]
+    assert last < first
 
 
 def test_too_many_ranks_raises(rng):

@@ -44,11 +44,6 @@ def test_spec_rejects_out_of_range_skip():
         ArchitectureSpec((NodeOp(8, "relu"),), frozenset({(0, 5)}))
 
 
-def test_spec_active_depth_counts_non_identity():
-    spec = ArchitectureSpec((NodeOp(8, "relu"), NodeOp(None, None), NodeOp(4, "tanh")))
-    assert spec.active_depth() == 2
-
-
 # --------------------------------------------------------------------- #
 # Construction / shapes
 # --------------------------------------------------------------------- #

@@ -19,7 +19,6 @@ from repro.nn import (
     zeros_init,
 )
 from repro.nn.activations import ACTIVATION_NAMES
-from repro.nn.metrics import confusion_counts
 
 
 # --------------------------------------------------------------------- #
@@ -162,15 +161,6 @@ def test_accuracy_basic():
 
 def test_accuracy_empty_is_zero():
     assert accuracy(np.zeros((0, 3)), np.zeros(0, dtype=int)) == 0.0
-
-
-def test_confusion_counts_sums_to_n():
-    rng = np.random.default_rng(0)
-    logits = rng.normal(size=(50, 4))
-    labels = rng.integers(0, 4, size=50)
-    mat = confusion_counts(logits, labels, 4)
-    assert mat.sum() == 50
-    assert mat.shape == (4, 4)
 
 
 @given(st.integers(2, 6), st.integers(1, 40))

@@ -217,7 +217,7 @@ def test_trainer_float32_keeps_adam_dtype_stable(path):
 
 
 # --------------------------------------------------------------------- #
-# 4. Trainer vs the per-rank loop reference
+# 4. DataParallelTrainer vs the per-rank loop reference
 # --------------------------------------------------------------------- #
 @pytest.mark.parametrize("allreduce", ["ring", "mean"])
 @pytest.mark.parametrize("num_ranks", [1, 2, 4, 8])

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import AgE, ModelEvaluation
 from repro.dataparallel import DataParallelTrainer
-from repro.nn import GraphNetwork, Trainer
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
 from repro.workflow import EvaluationResult, FaultPolicy, SimulatedEvaluator
@@ -118,9 +118,9 @@ def tanh_net(seed=0):
 
 def test_trainer_divergence_guard(rng):
     X, y = make_blobs(rng, n=300)
-    result = Trainer(epochs=10, batch_size=32, learning_rate=0.01).fit(
-        tanh_net(), corrupt(X[:240]), y[:240], X[240:], y[240:], rng
-    )
+    result = DataParallelTrainer(
+        num_ranks=1, epochs=10, batch_size=32, learning_rate=0.01
+    ).fit(tanh_net(), corrupt(X[:240]), y[:240], X[240:], y[240:], rng)
     assert result.diverged
     assert len(result.epoch_val_accuracies) < 10  # aborted early
     assert np.isfinite(result.best_val_accuracy)
@@ -138,9 +138,9 @@ def test_dp_trainer_divergence_guard(rng):
 
 def test_healthy_training_not_flagged(rng):
     X, y = make_blobs(rng, n=300)
-    result = Trainer(epochs=3, batch_size=32, learning_rate=0.01).fit(
-        build_net(), X[:240], y[:240], X[240:], y[240:], rng
-    )
+    result = DataParallelTrainer(
+        num_ranks=1, epochs=3, batch_size=32, learning_rate=0.01
+    ).fit(build_net(), X[:240], y[:240], X[240:], y[240:], rng)
     assert not result.diverged
 
 

@@ -40,11 +40,30 @@ def _forest_data(seed: int = 0, n: int = 250, d: int = 3):
 # --------------------------------------------------------------------- #
 # Forest: vectorized vs reference
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_presort_grows_identical_trees(seed):
-    X, y = _forest_data(seed)
-    fast = RegressionTree(max_depth=9).fit(X, y, np.random.default_rng(seed))
-    ref = ArgsortTree(max_depth=9).fit(X, y, np.random.default_rng(seed))
+@pytest.mark.parametrize(
+    "seed, d, max_features, tied",
+    [
+        pytest.param(0, 3, None, False, id="0"),
+        pytest.param(1, 3, None, False, id="1"),
+        pytest.param(2, 3, None, False, id="2"),
+        # Fewer features per split than columns.
+        pytest.param(3, 6, 2, False, id="d6-k2"),
+        pytest.param(4, 9, 1, False, id="d9-k1"),
+        # Many equal values in every column.
+        pytest.param(5, 5, 3, True, id="d5-k3-tied"),
+        pytest.param(6, 4, None, True, id="d4-tied"),
+    ],
+)
+def test_presort_grows_identical_trees(seed, d, max_features, tied):
+    X, y = _forest_data(seed, d=d)
+    if tied:
+        X = np.round(X * 2) / 2
+    fast = RegressionTree(max_depth=9, max_features=max_features).fit(
+        X, y, np.random.default_rng(seed)
+    )
+    ref = ArgsortTree(max_depth=9, max_features=max_features).fit(
+        X, y, np.random.default_rng(seed)
+    )
     assert fast.node_count == ref.node_count
     np.testing.assert_array_equal(fast.feature_, ref.feature_)
     np.testing.assert_array_equal(fast.threshold_, ref.threshold_)
