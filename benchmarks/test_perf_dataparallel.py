@@ -78,7 +78,7 @@ def test_perf_dataparallel_step_and_ring():
     for a, b in zip(model_loop.get_weights(), model_batched.get_weights()):
         np.testing.assert_allclose(a, b, atol=1e-10)
 
-    grads = [p.data.astype(np.float64) for p in _make_model(5).parameters()]
+    grads = [p.astype(np.float64) for p in _make_model(5).parameters()]
     per_rank = [[g * (r + 1) for g in grads] for r in range(8)]
     flat, _segments = flatten_gradients(per_rank)
     reducer = RingReducer(8, flat.shape[1])

@@ -33,8 +33,9 @@ def evaluate_best_agebo_model(name: str) -> tuple[float, float]:
     model = run_fn.build_model(best.config, rng)
     # Rebuild untrained, then load the trained best-epoch weights.
     model.set_weights(result.metadata["best_weights"])
+    plan = model.compile()
     t0 = time.perf_counter()
-    preds = model.predict(ds.X_test)
+    preds = plan.predict_logits(ds.X_test).argmax(axis=1)
     inference = time.perf_counter() - t0
     test_acc = float((preds == ds.y_test).mean())
     return test_acc, inference

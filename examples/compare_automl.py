@@ -42,8 +42,9 @@ def run_agebo(ds):
     result = final_eval(best.config)
     model = final_eval.build_model(best.config, np.random.default_rng(0))
     model.set_weights(result.metadata["best_weights"])
+    plan = model.compile()
     t0 = time.perf_counter()
-    preds = model.predict(ds.X_test)
+    preds = plan.predict_logits(ds.X_test).argmax(axis=1)
     inference = time.perf_counter() - t0
     return float((preds == ds.y_test).mean()), inference, len(history)
 

@@ -81,7 +81,7 @@ class MLPClassifier(BaseClassifier):
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self._net is None:
             raise RuntimeError("model is not fitted")
-        logits = self._net.predict_logits(np.asarray(X, dtype=float))
+        logits = self._net.compile().predict_logits(np.asarray(X, dtype=float))
         logits -= logits.max(axis=1, keepdims=True)
         P = np.exp(logits)
         return P / P.sum(axis=1, keepdims=True)

@@ -31,8 +31,10 @@ __all__ = [
 ]
 
 #: Version of the serialized config layout.  Bump on incompatible changes;
-#: ``from_dict`` refuses other versions with a clear error.
-CONFIG_VERSION = 1
+#: ``from_dict`` refuses other versions with a clear error.  Version 2
+#: dropped ``training.backend``; a version-1 dict still loads when that
+#: key is ``"compiled"`` (the only training path left).
+CONFIG_VERSION = 2
 
 
 def _from_dict(cls, data: Any, context: str):
@@ -105,7 +107,6 @@ class TrainingConfig:
     plateau_patience: int = 5
     objective: str = "best"
     allreduce: str = "fused"
-    backend: str = "compiled"
     dtype: str = "float64"
     apply_linear_scaling: bool = True
     base_seed: int = 0
@@ -117,8 +118,6 @@ class TrainingConfig:
             raise ValueError(f"training.objective must be 'best' or 'final', got {self.objective!r}")
         if self.allreduce not in ("ring", "mean", "fused"):
             raise ValueError(f"unknown training.allreduce {self.allreduce!r}")
-        if self.backend not in ("compiled", "eager"):
-            raise ValueError(f"unknown training.backend {self.backend!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"training.dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
@@ -261,12 +260,25 @@ class CampaignConfig:
 
         Raises ``ValueError`` with a clear message on a missing or
         unsupported ``config_version`` and on unknown keys anywhere in the
-        tree (typo protection + forward-compatibility signal).
+        tree (typo protection + forward-compatibility signal).  A
+        version-1 dict loads unless its ``training.backend`` is anything
+        but ``"compiled"``.
         """
         if not isinstance(data, dict):
             raise ValueError(f"campaign config: expected a mapping, got {type(data).__name__}")
         data = dict(data)
         version = data.pop("config_version", None)
+        if version == 1:
+            training = data.get("training")
+            if isinstance(training, dict) and "backend" in training:
+                data["training"] = training = dict(training)
+                backend = training.pop("backend")
+                if backend != "compiled":
+                    raise ValueError(
+                        f"campaign config: training.backend {backend!r} is no longer "
+                        "supported; the compiled plan is the only training path"
+                    )
+            version = CONFIG_VERSION
         if version != CONFIG_VERSION:
             raise ValueError(
                 f"unsupported campaign config version {version!r} "

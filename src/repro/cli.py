@@ -101,9 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--cache", choices=CACHE_MODES, default="off",
                           help="evaluation memoization: 'exact' serves duplicate "
                                "configurations from memo without re-training")
-    p_search.add_argument("--train-backend", choices=("compiled", "eager"),
-                          default="compiled",
-                          help="training execution path (compiled plan vs eager tape)")
     p_search.add_argument("--top", type=int, default=5, help="top-k models to print")
     p_search.add_argument("--save-history", type=str, default=None,
                           help="write the search history to this JSON file")
@@ -170,7 +167,6 @@ def config_from_args(args) -> CampaignConfig:
         training=TrainingConfig(
             epochs=args.epochs,
             nominal_epochs=20,
-            backend=args.train_backend,
             dtype=args.dtype,
         ),
         evaluator=EvaluatorConfig(

@@ -56,10 +56,6 @@ class ModelEvaluation:
     allreduce:
         Gradient reduction mode for the data-parallel trainer; ``"fused"``
         is the fast algebraically equivalent path used by the benches.
-    backend:
-        ``"compiled"`` (default) trains through the traced
-        :class:`~repro.nn.compiled.CompiledPlan`; ``"eager"`` uses the
-        reference autograd tape.
     dtype:
         Model/array precision, e.g. ``"float32"`` to halve memory traffic
         (default ``"float64"``).
@@ -79,13 +75,10 @@ class ModelEvaluation:
         keep_best_weights: bool = False,
         nominal_epochs: int | None = None,
         apply_linear_scaling: bool = True,
-        backend: str = "compiled",
         dtype="float64",
     ) -> None:
         if objective not in ("best", "final"):
             raise ValueError(f"objective must be 'best' or 'final', got {objective!r}")
-        if backend not in ("compiled", "eager"):
-            raise ValueError(f"backend must be 'compiled' or 'eager', got {backend!r}")
         self.dataset = dataset
         self.space = space
         self.cost_model = cost_model or TrainingCostModel()
@@ -102,7 +95,6 @@ class ModelEvaluation:
         # Ablation knob: disable the linear scaling rule (Eq. 2) so the
         # base learning rate is used unscaled at any rank count.
         self.apply_linear_scaling = apply_linear_scaling
-        self.backend = backend
         self.dtype = np.dtype(dtype)
         # Optional campaign event bus, forwarded to the per-call trainer so
         # EpochEnd events surface on the campaign stream.
@@ -129,7 +121,6 @@ class ModelEvaluation:
             allreduce=self.allreduce,
             keep_best_weights=self.keep_best_weights,
             apply_linear_scaling=self.apply_linear_scaling,
-            backend=self.backend,
             dtype=self.dtype,
         )
         trainer.event_bus = self.event_bus

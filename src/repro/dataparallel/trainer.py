@@ -13,19 +13,19 @@ Each step takes one of three routes to that algebra, by mode and shape:
 
 - ``allreduce="fused"`` (and any single-rank run) computes the averaged
   gradient in one forward/backward over the concatenated global batch;
-- ``ring``/``mean`` on the compiled backend stack the ``n`` micro-batches
-  into one ``(n·bs, d)`` array, and a single fused forward/backward
-  recovers *per-rank* gradients directly into an allreduce-ready
-  ``(n, P)`` flat matrix
+- ``ring``/``mean`` stack the ``n`` micro-batches into one ``(n·bs, d)``
+  array, and a single fused forward/backward recovers *per-rank*
+  gradients directly into an allreduce-ready ``(n, P)`` flat matrix
   (:meth:`~repro.nn.compiled.CompiledPlan.loss_and_grads_ranked`);
-- the eager backend and shards shorter than one micro-batch have no
-  batched kernel, so each rank's gradient is written into a row of the
-  same ``(n, P)`` matrix by its own forward/backward.
+- shards shorter than one micro-batch have no batched kernel, so each
+  rank's gradient is copied into a row of the same ``(n, P)`` matrix
+  after its own forward/backward.
 
 The ``(n, P)`` matrix then goes through :class:`RingReducer` (``ring``)
-or :func:`allreduce_mean_flat` (``mean``), and Adam consumes the reduced
-mean through per-parameter views.  The per-rank list reference these
-paths are gated against lives in ``tests/reference/``.
+or :func:`allreduce_mean_flat` (``mean``) into the network's flat
+gradient vector, and Adam updates the flat parameter vector in place.
+The per-rank list reference these paths are gated against lives in
+``tests/reference/``.
 
 With ``num_ranks=1`` the loop is plain single-process training under the
 paper's recipe; the MLP baselines (:mod:`repro.baselines.neural`) train
@@ -46,7 +46,6 @@ from repro.dataparallel.allreduce import (
 from repro.dataparallel.scaling import linear_scaled_lr
 from repro.dataparallel.sharding import shard_indices
 from repro.nn.graph_network import GraphNetwork
-from repro.nn.losses import softmax_cross_entropy
 from repro.nn.metrics import accuracy
 from repro.nn.optimizers import Adam
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
@@ -79,10 +78,6 @@ class DataParallelTrainer:
     allreduce:
         ``"ring"`` runs the simulated ring (default), ``"mean"`` the
         naive average, ``"fused"`` the concatenated-batch fast path.
-    backend:
-        ``"compiled"`` (default) computes per-rank gradients through the
-        model's :class:`~repro.nn.compiled.CompiledPlan`; ``"eager"``
-        uses the reference tape.  Both paths agree to float tolerance.
     dtype:
         Optional precision override for the training arrays (``None``
         keeps the model's dtype).
@@ -99,7 +94,6 @@ class DataParallelTrainer:
         allreduce: str = "ring",
         apply_linear_scaling: bool = True,
         keep_best_weights: bool = False,
-        backend: str = "compiled",
         dtype=None,
     ) -> None:
         if num_ranks < 1:
@@ -110,8 +104,6 @@ class DataParallelTrainer:
             raise ValueError("epochs must be >= 0")
         if allreduce not in ("ring", "mean", "fused"):
             raise ValueError(f"unknown allreduce mode {allreduce!r}")
-        if backend not in ("compiled", "eager"):
-            raise ValueError(f"backend must be 'compiled' or 'eager', got {backend!r}")
         self.num_ranks = num_ranks
         self.epochs = epochs
         self.batch_size = batch_size
@@ -121,7 +113,6 @@ class DataParallelTrainer:
         self.allreduce = allreduce
         self.apply_linear_scaling = apply_linear_scaling
         self.keep_best_weights = keep_best_weights
-        self.backend = backend
         self.dtype = None if dtype is None else np.dtype(dtype)
         # Optional campaign event bus; when set, fit emits one
         # repro.campaign.events.EpochEnd per epoch.
@@ -148,27 +139,6 @@ class DataParallelTrainer:
             )
 
     # ------------------------------------------------------------------ #
-    def _gradient(
-        self, model: GraphNetwork, X: np.ndarray, y: np.ndarray, plan=None
-    ) -> tuple[list[np.ndarray], float]:
-        """Gradient of the mean loss on one batch.
-
-        With a compiled ``plan`` the gradients land in the plan's reused
-        buffers, so the caller consumes them before the next call.
-        """
-        if plan is not None:
-            loss_value = plan.loss_and_grad(X, y)
-            return plan.grad_buffers, loss_value
-        params = model.parameters()
-        for p in params:
-            p.grad = None
-        loss = softmax_cross_entropy(model.forward(X), y)
-        loss.backward()
-        grads = [
-            p.grad if p.grad is not None else np.zeros_like(p.data) for p in params
-        ]
-        return grads, loss.item()
-
     def fit(
         self,
         model: GraphNetwork,
@@ -190,7 +160,7 @@ class DataParallelTrainer:
         dtype = self.dtype or model.dtype
         X_train = np.ascontiguousarray(X_train, dtype=dtype)
         X_valid = np.ascontiguousarray(X_valid, dtype=dtype)
-        plan = model.compile() if self.backend == "compiled" else None
+        plan = model.compile()
         shards = shard_indices(X_train.shape[0], n, rng)
         min_shard = min(len(s) for s in shards)
         steps = max(1, min_shard // self.batch_size)
@@ -204,8 +174,7 @@ class DataParallelTrainer:
             if self.apply_linear_scaling
             else self.learning_rate
         )
-        params = model.parameters()
-        optimizer = Adam(params, lr=scaled_lr)
+        optimizer = Adam(model.params_flat, model.grads_flat, lr=scaled_lr)
         warmup = GradualWarmup(optimizer, scaled_lr, self.warmup_epochs)
         plateau = ReduceLROnPlateau(optimizer, patience=self.plateau_patience)
 
@@ -215,7 +184,8 @@ class DataParallelTrainer:
         ring_bytes = ring_transfer_stats(n, num_params * dtype.itemsize).bytes_sent_per_rank
 
         # ring/mean with several ranks reduce an (n, P) per-rank gradient
-        # matrix; the fused path (and n = 1) needs no per-rank gradients.
+        # matrix into the model's gradient vector; the fused path (and
+        # n = 1) needs no per-rank gradients.
         reduce = None
         if n > 1 and self.allreduce != "fused":
             reduce = (
@@ -223,16 +193,7 @@ class DataParallelTrainer:
                 if self.allreduce == "ring"
                 else allreduce_mean_flat
             )
-            if plan is not None:
-                mean_flat, mean_views = plan.mean_grad_flat, plan.mean_grad_views
-            else:
-                mean_flat = np.empty(num_params, dtype=model.dtype)
-                bounds = np.cumsum([0] + [p.data.size for p in params])
-                mean_views = [
-                    mean_flat[lo:hi].reshape(p.data.shape)
-                    for lo, hi, p in zip(bounds[:-1], bounds[1:], params)
-                ]
-        batched = reduce is not None and plan is not None and hoistable
+        batched = reduce is not None and hoistable
         if batched:
             # Preallocated stacked micro-batch for the multi-rank pass.
             stacked_rows = n * self.batch_size
@@ -241,6 +202,11 @@ class DataParallelTrainer:
         elif reduce is not None:
             rank_grads = np.empty((n, num_params), dtype=model.dtype)
             losses = np.empty(n)
+        if self.keep_best_weights:
+            # The best epoch's parameters: one copy per improvement into a
+            # preallocated snapshot, handed out as per-parameter views.
+            best_params = np.empty_like(model.params_flat)
+            best_weights = model.unflatten(best_params)
 
         result = TrainResult(best_val_accuracy=-np.inf, final_val_accuracy=0.0)
         best_acc = -np.inf
@@ -264,9 +230,8 @@ class DataParallelTrainer:
                         idx = epoch_idx[:, lo:hi].ravel()
                     else:
                         idx = np.concatenate([order[lo:hi] for order in orders])
-                    grads, loss = self._gradient(model, X_train[idx], y_train[idx], plan)
-                    optimizer.apply_gradients(grads)
-                    epoch_loss += loss
+                    epoch_loss += plan.loss_and_grad(X_train[idx], y_train[idx])
+                    optimizer.step()
                     continue
                 if batched:
                     flat_idx = epoch_idx[:, lo:hi].ravel()
@@ -276,12 +241,10 @@ class DataParallelTrainer:
                 else:
                     for r, order in enumerate(orders):
                         idx = order[lo:hi]
-                        grads, losses[r] = self._gradient(
-                            model, X_train[idx], y_train[idx], plan
-                        )
-                        np.concatenate([g.ravel() for g in grads], out=rank_grads[r])
-                reduce(rank_grads, out=mean_flat)
-                optimizer.apply_gradients(mean_views)
+                        losses[r] = plan.loss_and_grad(X_train[idx], y_train[idx])
+                        rank_grads[r] = model.grads_flat
+                reduce(rank_grads, out=model.grads_flat)
+                optimizer.step()
                 epoch_loss += float(np.mean(losses))
             mean_loss = epoch_loss / steps
             if not np.isfinite(mean_loss):
@@ -292,18 +255,15 @@ class DataParallelTrainer:
                 result.epoch_val_accuracies.append(0.0)
                 self._emit_epoch(epoch, mean_loss, 0.0, ring_bytes)
                 break
-            val_logits = (
-                plan.predict_logits(X_valid) if plan is not None
-                else model.predict_logits(X_valid)
-            )
-            val_acc = accuracy(val_logits, y_valid)
+            val_acc = accuracy(plan.predict_logits(X_valid), y_valid)
             result.epoch_val_accuracies.append(val_acc)
             result.epoch_train_losses.append(mean_loss)
             self._emit_epoch(epoch, mean_loss, val_acc, ring_bytes)
             if val_acc > best_acc:
                 best_acc = val_acc
                 if self.keep_best_weights:
-                    result.best_weights = model.get_weights()
+                    np.copyto(best_params, model.params_flat)
+                    result.best_weights = best_weights
             plateau.on_epoch_end(val_acc)
 
         result.best_val_accuracy = float(max(best_acc, 0.0))

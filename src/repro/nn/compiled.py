@@ -1,13 +1,10 @@
 """Compiled execution plans: trace a ``GraphNetwork`` into a flat op schedule.
 
-The eager engine (:mod:`repro.nn.autograd`) rebuilds a tape of ``Tensor``
-nodes and backward closures on *every* forward pass.  That is the right
-reference semantics, but for search workloads — thousands of 20-epoch
-trainings of small networks — tape construction and per-op temporary
-allocation dominate the step time.
-
-:class:`CompiledPlan` removes both costs.  ``GraphNetwork.compile()`` walks
-the architecture **once** and emits a flat schedule of fused ops:
+The plan is the only forward/backward implementation of the network.  For
+search workloads — thousands of 20-epoch trainings of small networks —
+rebuilding an autograd tape and allocating per-op temporaries on every
+step would dominate the step time, so ``GraphNetwork.compile()`` walks the
+architecture **once** and emits a flat schedule of fused ops:
 
 - ``_DenseOp`` — affine + activation in one step (``act(x @ W + b)``),
   with the activation's backward auxiliaries (ReLU mask, sigmoid/swish
@@ -18,38 +15,42 @@ the architecture **once** and emits a flat schedule of fused ops:
   input slot at trace time.
 
 Execution writes into per-batch-size buffer sets (allocated on first use,
-reused forever after), parameter gradients accumulate in place into
-preallocated per-parameter buffers, and the steady-state train step does
-zero tape reconstruction and near-zero allocation.
+reused forever after), parameter gradients land in place in the network's
+flat gradient vector, and the steady-state train step does zero graph
+construction and near-zero allocation.
 
-Numerical contract: the plan replays the *exact* operation order of the
-eager tape (same kernels, same association order for skip sums, the same
-stable-sigmoid formula), so losses and gradients match the eager reference
-to float round-off.  The seeded gate the test-suite and the perf harness
-both call lives in ``tests/reference/``.
+Numerical contract: the plan replays the exact operation order of a
+reverse-mode tape over the same ops (same kernels, same association order
+for skip sums, the same stable-sigmoid formula).  That tape lives in
+``tests/reference/`` as the gradient oracle; losses and gradients match it
+to 1e-10, in practice bitwise.
 
 A plan also executes in **multi-rank mode** for the data-parallel
 trainer: :meth:`CompiledPlan.loss_and_grads_ranked` runs ``n`` stacked
 micro-batches through one fused forward/backward and recovers the *per
 rank* parameter gradients — batched ``(n, bs, ·)`` matmuls writing
 through column-slice views into an allreduce-ready ``(n, P)`` flat
-matrix (:class:`_RankGradBuffers`), with the reduced mean double-buffered
-in ``mean_grad_flat`` / ``mean_grad_views`` for the optimizer.  Each
-rank's gradients are bitwise identical to ``n`` separate
-``loss_and_grad`` calls (gated in ``tests/test_rank_vectorized.py``).
+matrix (:class:`_RankGradBuffers`).  The reduced mean is written into the
+network's gradient vector, which the optimizer reads.  Each rank's
+gradients are bitwise identical to ``n`` separate ``loss_and_grad`` calls
+(gated in ``tests/test_rank_vectorized.py``).
 
 Buffer-reuse invariants (see DESIGN.md §Performance):
 
 1. every forward value slot is written exactly once per step and stays
    valid until the next ``loss_and_grad``/``predict_logits`` call on the
    same plan (backward reads forward values);
-2. gradient slots are written by their *first* consumer in reverse
+2. every parameter array is a view of the network's flat ``params_flat``
+   vector and every gradient buffer a view of ``grads_flat``, both in
+   ``parameters()`` order; views are never rebound, so loading weights
+   copies into them and the plan sees the result without re-tracing;
+3. gradient slots are written by their *first* consumer in reverse
    schedule order (a plain write, precomputed at trace time) and ``+=``
    by every later consumer — no zeroing pass is needed;
-3. per-parameter gradient buffers are fully overwritten each step (every
+4. per-parameter gradient buffers are fully overwritten each step (every
    parameter has exactly one consuming op), so stale values can never
    leak between steps;
-4. a plan is **not** thread-safe: concurrent evaluations must compile one
+5. a plan is **not** thread-safe: concurrent evaluations must compile one
    plan per model (which the evaluators do — one model per candidate).
 """
 
@@ -57,17 +58,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
 from repro.nn.layers import Dense
 
-__all__ = ["CompiledPlan"]
+__all__ = ["CompiledPlan", "unflatten"]
 
 
 def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
                          neg: np.ndarray) -> None:
-    """Numerically stable sigmoid, bitwise-equal to the eager formula.
+    """Numerically stable sigmoid, bitwise-equal to the two-branch formula.
 
-    ``exp(-|x|)`` is shared by both branches: for ``x >= 0`` the eager path
+    ``exp(-|x|)`` is shared by both branches: for ``x >= 0`` the tape
     computes ``1 / (1 + exp(-x))`` and for ``x < 0`` it computes
     ``e / (1 + e)`` with ``e = exp(x)`` — in both cases the exponential is
     ``exp(-|x|)``, so the branchless form below reproduces the same bits.
@@ -80,6 +80,19 @@ def _stable_sigmoid_into(x: np.ndarray, out: np.ndarray, scratch: np.ndarray,
     np.divide(scratch, out, out=scratch)  # negative branch: e / (1 + e)
     np.divide(1.0, out, out=out)          # positive branch: 1 / (1 + e)
     np.copyto(out, scratch, where=neg)
+
+
+def unflatten(flat: np.ndarray, segments) -> list[np.ndarray]:
+    """Split the last axis of ``flat`` into reshaped views, one per segment.
+
+    ``flat`` has shape ``(..., P)`` and ``segments`` holds ``(offset, size,
+    shape)`` triples; each view has shape ``(...,) + shape``.
+    """
+    lead = flat.shape[:-1]
+    views = [flat[..., o : o + s].reshape(lead + shape) for o, s, shape in segments]
+    if not all(np.may_share_memory(v, flat) for v in views):
+        raise AssertionError("parameter views must alias the flat vector")
+    return views
 
 
 class _DenseOp:
@@ -99,8 +112,8 @@ class _DenseOp:
     def forward(self, vals: list[np.ndarray], aux: dict) -> None:
         h = vals[self.in_slot]
         out = vals[self.out_slot]
-        np.matmul(h, self.layer.W.data, out=out)
-        out += self.layer.b.data
+        np.matmul(h, self.layer.W, out=out)
+        out += self.layer.b
         act = self.activation
         if act is None or act == "identity":
             return
@@ -170,10 +183,10 @@ class _DenseOp:
         if self.in_needs_grad:
             din = grads[self.in_slot]
             if self.first_touch:
-                np.matmul(dout, self.layer.W.data.T, out=din)
+                np.matmul(dout, self.layer.W.T, out=din)
             else:
                 tmp = aux[(id(self), "dtmp")]
-                np.matmul(dout, self.layer.W.data.T, out=tmp)
+                np.matmul(dout, self.layer.W.T, out=tmp)
                 din += tmp
 
 
@@ -181,7 +194,7 @@ class _SkipOp:
     """Fused skip connection: ``out = relu(base + Σ_s proj_s(h_s))``.
 
     Sources are summed in ascending-source order — the association order of
-    the eager path — so the forward values match bitwise.
+    the tape reference — so the forward values match bitwise.
     """
 
     __slots__ = ("base_slot", "sources", "out_slot",
@@ -201,8 +214,8 @@ class _SkipOp:
         acc = vals[self.out_slot]
         ptmp = aux[(id(self), "ptmp")]
         for k, (slot, proj) in enumerate(self.sources):
-            np.matmul(vals[slot], proj.W.data, out=ptmp)
-            ptmp += proj.b.data
+            np.matmul(vals[slot], proj.W, out=ptmp)
+            ptmp += proj.b
             if k == 0:
                 np.add(vals[self.base_slot], ptmp, out=acc)
             else:
@@ -222,7 +235,7 @@ class _SkipOp:
                 np.copyto(dbase, dacc)
             else:
                 dbase += dacc
-        # Reverse source order mirrors the eager tape's unwinding of the
+        # Reverse source order mirrors the tape's unwinding of the
         # nested adds, keeping multi-consumer accumulation order identical.
         for k in range(len(self.sources) - 1, -1, -1):
             slot, proj = self.sources[k]
@@ -241,10 +254,10 @@ class _SkipOp:
             if needs_grad:
                 dsrc = grads[slot]
                 if first:
-                    np.matmul(dacc, proj.W.data.T, out=dsrc)
+                    np.matmul(dacc, proj.W.T, out=dsrc)
                 else:
                     dtmp = aux[(id(self), "dtmp", k)]
-                    np.matmul(dacc, proj.W.data.T, out=dtmp)
+                    np.matmul(dacc, proj.W.T, out=dtmp)
                     dsrc += dtmp
 
 
@@ -308,30 +321,24 @@ class _RankGradBuffers:
     __slots__ = ("flat", "layer_views")
 
     def __init__(self, plan: "CompiledPlan", num_ranks: int) -> None:
-        n = num_ranks
-        self.flat = np.empty((n, plan.num_flat_params), dtype=plan.dtype)
-        self.layer_views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for layer in plan._layers:
-            oW, sW, shW = plan._param_layout[id(layer.W)]
-            ob, sb, shb = plan._param_layout[id(layer.b)]
-            gW = self.flat[:, oW : oW + sW].reshape((n,) + shW)
-            gb = self.flat[:, ob : ob + sb].reshape((n,) + shb)
-            if not (np.shares_memory(gW, self.flat) and np.shares_memory(gb, self.flat)):
-                raise AssertionError("rank gradient views must alias the flat matrix")
-            self.layer_views[id(layer)] = (gW, gb)
+        self.flat = np.empty((num_ranks, plan.num_flat_params), dtype=plan.dtype)
+        self.layer_views = plan._layer_views(self.flat)
 
 
 class CompiledPlan:
     """Flat, fused, buffer-reusing execution plan for one ``GraphNetwork``.
 
     Built by :meth:`repro.nn.graph_network.GraphNetwork.compile`.  The plan
-    holds references to the network's parameter :class:`Tensor` objects, so
+    reads the network's parameter views and writes its gradient views, so
     in-place optimizer updates and ``set_weights`` are picked up without
     re-tracing.
     """
 
     def __init__(self, model) -> None:
-        self.model = model
+        # The plan keeps the network's layers and layout but not the network
+        # itself: no reference cycle, so a finished evaluation's network and
+        # buffers are freed as soon as the last reference goes.
+        self.layers = model.layers
         self.dtype = model.dtype
         spec = model.spec
         m = spec.num_nodes
@@ -393,62 +400,23 @@ class CompiledPlan:
                 op.source_flags = [claim(slot) for slot, _ in reversed(op.sources)]
                 op.source_flags.reverse()  # re-align with ascending sources
 
-        # Preallocated per-parameter gradient buffers, one (gW, gb) pair per
-        # layer; each layer is consumed by exactly one op, so every buffer
-        # is fully overwritten each step.
-        self.param_grads: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._layers: list[Dense] = []
-        for op in ops:
-            if isinstance(op, _DenseOp):
-                self._register_layer(op.layer)
-            else:
-                for _, proj in op.sources:
-                    self._register_layer(proj)
-        self._params: list[Tensor] = model.parameters()
-        self.grad_buffers: list[np.ndarray] = [self._grad_for(p) for p in self._params]
-
-        # Flat-gradient layout: each parameter occupies one contiguous
-        # [offset, offset + size) column span, in ``parameters()`` order —
-        # the packing order the ring-allreduce reference uses.
-        self.param_segments: list[tuple[int, int, tuple[int, ...]]] = []
-        self._param_layout: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-        offset = 0
-        for p in self._params:
-            seg = (offset, p.data.size, p.data.shape)
-            self.param_segments.append(seg)
-            self._param_layout[id(p)] = seg
-            offset += p.data.size
-        self.num_flat_params = offset
-
-        # Double-buffered gradients for the rank-batched data-parallel
-        # path: per-rank gradients land in a _RankGradBuffers (n, P) matrix
-        # (the producer side), the reduced mean lands here (the consumer
-        # side Adam reads), so neither step needs a defensive copy.
-        self.mean_grad_flat = np.empty(self.num_flat_params, dtype=self.dtype)
-        self.mean_grad_views: list[np.ndarray] = [
-            self.mean_grad_flat[o : o + s].reshape(shape)
-            for o, s, shape in self.param_segments
-        ]
+        # Per-layer (gW, gb) views of the network's flat gradient vector;
+        # each layer is consumed by exactly one op, so every buffer is
+        # fully overwritten each step.
+        self.param_segments = model.param_segments
+        self.num_flat_params = model.params_flat.size
+        self.param_grads = self._layer_views(model.grads_flat)
 
         self._buffers: dict[int, _BufferSet] = {}
         self._rank_buffers: dict[int, _RankGradBuffers] = {}
 
     # ------------------------------------------------------------------ #
-    def _register_layer(self, layer: Dense) -> None:
-        if id(layer) not in self.param_grads:
-            gW = np.empty_like(layer.W.data)
-            gb = np.empty_like(layer.b.data)
-            self.param_grads[id(layer)] = (gW, gb)
-            self._layers.append(layer)
-
-    def _grad_for(self, p: Tensor) -> np.ndarray:
-        for layer in self._layers:
-            gW, gb = self.param_grads[id(layer)]
-            if p is layer.W:
-                return gW
-            if p is layer.b:
-                return gb
-        raise ValueError(f"parameter {p!r} is not part of this plan")
+    def _layer_views(self, flat: np.ndarray) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``id(layer) -> (W, b)`` views of ``flat``'s last axis."""
+        views = unflatten(flat, self.param_segments)
+        return {
+            id(layer): (W, b) for layer, W, b in zip(self.layers, views[0::2], views[1::2])
+        }
 
     def buffers_for(self, n: int) -> _BufferSet:
         bufs = self._buffers.get(n)
@@ -480,10 +448,9 @@ class CompiledPlan:
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> float:
         """Mean softmax cross-entropy and its gradients, in one fused pass.
 
-        On return every model parameter's ``.grad`` points at this plan's
-        preallocated buffer holding the fresh gradient, ready for
-        ``optimizer.step()`` — no ``zero_grad`` is required (buffers are
-        fully overwritten, never accumulated across steps).
+        On return the network's ``grads_flat`` holds the fresh gradient,
+        ready for ``optimizer.step()``; it is fully overwritten, never
+        accumulated across steps.
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)
         y = np.asarray(y)
@@ -491,7 +458,7 @@ class CompiledPlan:
         bufs = self.buffers_for(n)
         logits = self._forward(X, bufs)
 
-        # Softmax cross-entropy, replaying the eager op order exactly.
+        # Softmax cross-entropy, replaying the tape's op order exactly.
         shifted = bufs.probs
         rowred = bufs.rowred
         np.max(logits, axis=1, keepdims=True, out=rowred)
@@ -518,7 +485,6 @@ class CompiledPlan:
                 op.backward(vals, grads, aux, gW, gb)
             else:
                 op.backward(vals, grads, aux, self.param_grads)
-        self.install_grads()
         return loss
 
     def loss_and_grads_ranked(
@@ -538,8 +504,8 @@ class CompiledPlan:
         Returns ``(losses, rank_grads)``: per-rank mean losses ``(n,)``
         (float64) and the plan's reused ``(n, P)`` flat gradient matrix in
         the ring-allreduce packing order.  The matrix is overwritten by the
-        next call; reduce it before then.  Parameter ``.grad`` pointers are
-        untouched — consumers install the reduced mean themselves.
+        next call; reduce it before then.  ``grads_flat`` is untouched —
+        the caller reduces the matrix into it.
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)
         y = np.asarray(y)
@@ -553,7 +519,7 @@ class CompiledPlan:
         bufs = self.buffers_for(n_rows)
         logits = self._forward(X, bufs)
 
-        # Softmax cross-entropy, replaying the eager op order exactly; the
+        # Softmax cross-entropy, replaying the tape's op order exactly; the
         # only departure from loss_and_grad is the per-rank loss reduction
         # and the 1/bs gradient scale.
         shifted = bufs.probs
@@ -583,11 +549,6 @@ class CompiledPlan:
             else:
                 op.backward(vals, grads, aux, rank_bufs.layer_views, ranks=num_ranks)
         return losses, rank_bufs.flat
-
-    def install_grads(self) -> None:
-        """Point every parameter's ``.grad`` at its plan buffer."""
-        for p, g in zip(self._params, self.grad_buffers):
-            p.grad = g
 
     def predict_logits(self, X: np.ndarray, batch_size: int = 4096) -> np.ndarray:
         """Inference-mode logits, chunked to bound peak buffer memory."""

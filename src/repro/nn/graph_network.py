@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.autograd import Tensor, no_grad
+from repro.nn.compiled import CompiledPlan, unflatten
 from repro.nn.layers import Dense
 
 __all__ = ["NodeOp", "ArchitectureSpec", "GraphNetwork"]
@@ -95,6 +95,11 @@ class GraphNetwork:
         Parameter/activation precision (float64 default, float32 optional).
         Weights are drawn in float64 and cast, so the same seed produces
         the same network at either precision.
+
+    All parameters live in one contiguous vector ``params_flat`` and all
+    gradients in ``grads_flat``, laid out in :meth:`parameters` order
+    (``param_segments``); every layer's ``W`` and ``b`` is a reshaped view
+    of ``params_flat``.
     """
 
     def __init__(
@@ -146,84 +151,74 @@ class GraphNetwork:
 
         self._output = Dense(widths[m], n_classes, None, rng, name="output", dtype=self.dtype)
 
+        # Every layer in parameters() order, then the flat layout: parameter
+        # k occupies [offset, offset + size) of one contiguous vector.  The
+        # drawn weights are copied into views of that vector, and the views
+        # replace the layers' arrays for good.
+        self.layers: list[Dense] = [
+            layer for layer in self._node_layers if layer is not None
+        ]
+        self.layers.extend(self._projections.values())
+        self.layers.append(self._output)
+        self.param_segments: list[tuple[int, int, tuple[int, ...]]] = []
+        offset = 0
+        for p in self.parameters():
+            self.param_segments.append((offset, p.size, p.shape))
+            offset += p.size
+        self.params_flat = np.empty(offset, dtype=self.dtype)
+        self.grads_flat = np.zeros(offset, dtype=self.dtype)
+        views = self.unflatten(self.params_flat)
+        for layer, W, b in zip(self.layers, views[0::2], views[1::2]):
+            np.copyto(W, layer.W)
+            np.copyto(b, layer.b)
+            layer.W, layer.b = W, b
+
     # ------------------------------------------------------------------ #
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for layer in self._node_layers:
-            if layer is not None:
-                params.extend(layer.parameters())
-        for proj in self._projections.values():
-            params.extend(proj.parameters())
-        params.extend(self._output.parameters())
-        return params
+    def parameters(self) -> list[np.ndarray]:
+        """Parameter arrays (views of ``params_flat``), ``W`` then ``b`` per layer."""
+        return [p for layer in self.layers for p in (layer.W, layer.b)]
 
     def num_parameters(self) -> int:
         """Total scalar parameter count (drives the training-time model)."""
-        return sum(p.size for p in self.parameters())
+        return self.params_flat.size
+
+    def unflatten(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Split the last axis of ``flat`` into reshaped per-parameter views.
+
+        ``flat`` has shape ``(..., P)``; the result follows ``parameters()``
+        order, each array of shape ``(...,) + param.shape``.
+        """
+        return unflatten(flat, self.param_segments)
 
     # ------------------------------------------------------------------ #
-    def forward(self, x: np.ndarray | Tensor) -> Tensor:
-        """Compute logits for a ``(batch, input_dim)`` design matrix."""
-        h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
-        if h.shape[-1] != self.input_dim:
-            raise ValueError(f"expected input width {self.input_dim}, got {h.shape[-1]}")
-        outputs: list[Tensor] = [h]  # outputs[i] is graph node i's output
-        m = self.spec.num_nodes
-        for i in range(1, m + 2):  # variable nodes then output node
-            incoming = outputs[i - 1]
-            skip_sources = [s for (s, d) in self._projections if d == i]
-            if skip_sources:
-                acc = incoming
-                for s in sorted(skip_sources):
-                    acc = acc + self._projections[(s, i)](outputs[s])
-                incoming = acc.relu()
-            if i <= m:
-                layer = self._node_layers[i - 1]
-                outputs.append(incoming if layer is None else layer(incoming))
-            else:
-                return self._output(incoming)
-        raise AssertionError("unreachable")
-
-    __call__ = forward
-
-    def compile(self) -> "CompiledPlan":
+    def compile(self) -> CompiledPlan:
         """Trace this architecture into a :class:`~repro.nn.compiled.CompiledPlan`.
 
-        The plan is built once and cached; it shares this network's
-        parameter tensors, so optimizer updates (which mutate ``p.data``
-        in place) are visible to subsequent plan executions and
-        :meth:`get_weights`/:meth:`set_weights` keep working.
+        The plan is built once and cached; it reads the layers' ``W``/``b``
+        views and writes gradients into ``grads_flat``, so in-place updates
+        of ``params_flat`` (the optimizer, :meth:`set_weights`) are visible
+        to every later plan execution.
         """
         if self._plan is None:
-            from repro.nn.compiled import CompiledPlan
-
             self._plan = CompiledPlan(self)
         return self._plan
-
-    def predict_logits(self, x: np.ndarray, batch_size: int = 4096) -> np.ndarray:
-        """Inference-mode logits, batched to bound peak memory."""
-        with no_grad():
-            chunks = [
-                self.forward(x[i : i + batch_size]).data
-                for i in range(0, x.shape[0], batch_size)
-            ]
-        return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.n_classes))
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Predicted class indices."""
-        return self.predict_logits(x).argmax(axis=1)
 
     # ------------------------------------------------------------------ #
     def get_weights(self) -> list[np.ndarray]:
         """Copy out all parameter arrays (checkpointing)."""
-        return [p.data.copy() for p in self.parameters()]
+        return [p.copy() for p in self.parameters()]
 
     def set_weights(self, weights: list[np.ndarray]) -> None:
-        """Load parameter arrays previously produced by :meth:`get_weights`."""
+        """Copy arrays produced by :meth:`get_weights` into the parameter views.
+
+        The views are written, never rebound, so a compiled plan keeps
+        seeing the loaded weights.
+        """
         params = self.parameters()
         if len(weights) != len(params):
             raise ValueError(f"expected {len(params)} arrays, got {len(weights)}")
         for p, w in zip(params, weights):
-            if p.data.shape != w.shape:
-                raise ValueError(f"shape mismatch: {p.data.shape} vs {w.shape}")
-            p.data[...] = w
+            if p.shape != w.shape:
+                raise ValueError(f"shape mismatch: {p.shape} vs {w.shape}")
+        for p, w in zip(params, weights):
+            p[...] = w

@@ -1,38 +1,23 @@
-"""Layer primitives: the base ``Layer`` protocol and ``Dense``.
+"""The ``Dense`` layer: parameter arrays plus the metadata the plan traces.
 
-A layer owns its parameters (as ``Tensor`` leaves with ``requires_grad``)
-and exposes ``__call__`` building the forward graph.  Layers are
-intentionally tiny; the architecture-level wiring (skip connections,
-projections, sums) lives in :mod:`repro.nn.graph_network`.
+A layer owns its weight ``W`` and bias ``b`` arrays; the forward and
+backward arithmetic lives in the compiled plan (:mod:`repro.nn.compiled`)
+and the architecture-level wiring (skip connections, projections, sums) in
+:mod:`repro.nn.graph_network`.  Inside a network, ``W`` and ``b`` are
+reshaped views of the network's flat parameter vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.activations import apply_activation
-from repro.nn.autograd import Tensor
+from repro.nn.activations import ACTIVATION_NAMES
 from repro.nn.initializers import glorot_uniform, he_normal, zeros_init
 
-__all__ = ["Layer", "Dense"]
+__all__ = ["Dense"]
 
 
-class Layer:
-    """Base class: parameter registry plus forward call."""
-
-    def parameters(self) -> list[Tensor]:
-        """Return the trainable leaf tensors of this layer."""
-        raise NotImplementedError
-
-    def num_parameters(self) -> int:
-        """Total number of scalar trainable parameters."""
-        return sum(p.size for p in self.parameters())
-
-    def __call__(self, x: Tensor) -> Tensor:
-        raise NotImplementedError
-
-
-class Dense(Layer):
+class Dense:
     """Fully connected layer ``activation(x @ W + b)``.
 
     Parameters
@@ -63,30 +48,24 @@ class Dense(Layer):
     ) -> None:
         if fan_in <= 0 or units <= 0:
             raise ValueError(f"fan_in and units must be positive, got {fan_in}, {units}")
+        if activation is not None and activation not in ACTIVATION_NAMES:
+            raise ValueError(
+                f"unknown activation {activation!r}; expected one of {ACTIVATION_NAMES}"
+            )
         self.fan_in = fan_in
         self.units = units
         self.activation = activation
         self.dtype = np.dtype(dtype)
         if activation in ("relu", "swish"):
-            w = he_normal(fan_in, units, rng, dtype=self.dtype)
+            self.W = he_normal(fan_in, units, rng, dtype=self.dtype)
         else:
-            w = glorot_uniform(fan_in, units, rng, dtype=self.dtype)
-        self.W = Tensor(w, requires_grad=True, name=f"{name}.W")
-        self.b = Tensor(zeros_init(units, dtype=self.dtype), requires_grad=True, name=f"{name}.b")
+            self.W = glorot_uniform(fan_in, units, rng, dtype=self.dtype)
+        self.b = zeros_init(units, dtype=self.dtype)
         self.name = name
 
-    def parameters(self) -> list[Tensor]:
-        return [self.W, self.b]
-
-    def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.W + self.b
-        if self.activation is not None:
-            out = apply_activation(self.activation, out)
-        return out
-
-    def linear(self, x: Tensor) -> Tensor:
-        """Affine part only, ignoring the configured activation."""
-        return x @ self.W + self.b
+    def num_parameters(self) -> int:
+        """Total number of scalar trainable parameters."""
+        return self.W.size + self.b.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Dense({self.fan_in}->{self.units}, act={self.activation})"

@@ -11,7 +11,7 @@ Two schedules compose per epoch, exactly as in the experiments section:
 
 from __future__ import annotations
 
-from repro.nn.optimizers import Optimizer
+from repro.nn.optimizers import Adam
 
 __all__ = ["GradualWarmup", "ReduceLROnPlateau"]
 
@@ -19,7 +19,7 @@ __all__ = ["GradualWarmup", "ReduceLROnPlateau"]
 class GradualWarmup:
     """Linear LR warmup over the first ``warmup_epochs`` epochs."""
 
-    def __init__(self, optimizer: Optimizer, target_lr: float, warmup_epochs: int = 5) -> None:
+    def __init__(self, optimizer: Adam, target_lr: float, warmup_epochs: int = 5) -> None:
         if warmup_epochs < 0:
             raise ValueError("warmup_epochs must be non-negative")
         self.optimizer = optimizer
@@ -43,7 +43,7 @@ class ReduceLROnPlateau:
 
     def __init__(
         self,
-        optimizer: Optimizer,
+        optimizer: Adam,
         patience: int = 5,
         factor: float = 0.5,
         min_lr: float = 1e-6,

@@ -13,6 +13,7 @@ from tests.reference.allreduce import (
     ring_allreduce,
     ring_allreduce_reference,
 )
+from tests.reference.autograd import Tensor, is_grad_enabled, no_grad
 from tests.reference.compiled import assert_plan_equivalence
 from tests.reference.forest import (
     ArgsortForest,
@@ -20,18 +21,33 @@ from tests.reference.forest import (
     forest_predict_reference,
     predict_recursive,
 )
+from tests.reference.optimizers import Adam as ReferenceAdam
+from tests.reference.tape import (
+    TapeNetwork,
+    apply_activation,
+    softmax_cross_entropy,
+    tape_loss_and_grads,
+)
 from tests.reference.trainer import loop_fit
 
 __all__ = [
     "ArgsortForest",
     "ArgsortTree",
+    "ReferenceAdam",
+    "TapeNetwork",
+    "Tensor",
     "allreduce_mean",
+    "apply_activation",
     "assert_plan_equivalence",
     "flatten_gradients",
     "forest_predict_reference",
     "gradient_segments",
+    "is_grad_enabled",
     "loop_fit",
+    "no_grad",
     "predict_recursive",
     "ring_allreduce",
     "ring_allreduce_reference",
+    "softmax_cross_entropy",
+    "tape_loss_and_grads",
 ]

@@ -1,10 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The engine implements exactly the operation set needed by the AgEBO-Tabular
-search space: affine transforms, elementwise activations, tensor addition
-(with broadcasting, for biases and skip-connection sums), and reductions
-used by losses.  All operations are vectorized over the batch dimension; no
-per-sample Python loops appear anywhere in a training step.
+This eager tape is the gradient oracle of the compiled training plan in
+``repro.nn.compiled``; no campaign runs it.  The engine implements exactly
+the operation set needed by the AgEBO-Tabular search space: affine
+transforms, elementwise activations, tensor addition (with broadcasting,
+for biases and skip-connection sums), and reductions used by losses.  All
+operations are vectorized over the batch dimension; no per-sample Python
+loops appear anywhere in a training step.
 
 Design: eager tape-per-call (micrograd-style).  Every forward pass builds a
 fresh graph of :class:`Tensor` nodes; :meth:`Tensor.backward` walks the tape

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.losses import softmax_cross_entropy
+from tests.reference.tape import TapeNetwork, tape_loss_and_grads
 
 
 def assert_plan_equivalence(
@@ -21,22 +21,13 @@ def assert_plan_equivalence(
     (tests, the perf harness) can report them.
     """
     plan = model.compile()
-
-    # Eager reference.
-    params = model.parameters()
-    for p in params:
-        p.grad = None
-    loss_e = softmax_cross_entropy(model.forward(X), y)
-    loss_e.backward()
-    eager_loss = loss_e.item()
-    eager_grads = [np.array(p.grad, copy=True) for p in params]
-
+    eager_loss, eager_grads = tape_loss_and_grads(TapeNetwork(model), X, y)
     compiled_loss = plan.loss_and_grad(X, y)
 
     loss_diff = abs(eager_loss - compiled_loss)
     grad_diff = 0.0
-    for ge, p in zip(eager_grads, params):
-        grad_diff = max(grad_diff, float(np.max(np.abs(ge - p.grad))))
+    for ge, gc in zip(eager_grads, model.unflatten(model.grads_flat)):
+        grad_diff = max(grad_diff, float(np.max(np.abs(ge - gc))))
     report = {"loss_diff": loss_diff, "grad_diff": grad_diff}
     if loss_diff > tol or grad_diff > tol or not np.isfinite(eager_loss):
         raise AssertionError(

@@ -5,8 +5,10 @@ algebra reads on paper: every rank runs its own forward/backward on its
 own micro-batch, the per-rank gradient lists are averaged by the
 chunked-list ring (or the naive mean), and one Adam update follows.  The
 ``fused`` mode takes one forward/backward over the concatenated global
-batch.  The production trainer's batched and flat-buffer paths are gated
-against this loop; it emits no events.
+batch.  Gradients come from the compiled plan (``gradients="plan"``) or
+from the eager tape (``gradients="tape"``), and the update is the
+per-parameter reference Adam.  The production trainer's batched and
+flat-buffer paths are gated against this loop; it emits no events.
 """
 
 from __future__ import annotations
@@ -16,26 +18,21 @@ import numpy as np
 from repro.dataparallel import DataParallelTrainer, TrainResult
 from repro.dataparallel.scaling import linear_scaled_lr
 from repro.dataparallel.sharding import shard_indices
-from repro.nn.losses import softmax_cross_entropy
 from repro.nn.metrics import accuracy
-from repro.nn.optimizers import Adam
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
 
 from tests.reference.allreduce import allreduce_mean, ring_allreduce_reference
+from tests.reference.optimizers import Adam
+from tests.reference.tape import TapeNetwork, tape_loss_and_grads
 
 
-def _rank_gradient(model, X, y, plan) -> tuple[list[np.ndarray], float]:
+def _rank_gradient(model, tape, X, y) -> tuple[list[np.ndarray], float]:
     """Gradient of the mean loss on one micro-batch, as fresh arrays."""
-    if plan is not None:
-        loss_value = plan.loss_and_grad(X, y)
-        return [g.copy() for g in plan.grad_buffers], loss_value
-    params = model.parameters()
-    for p in params:
-        p.grad = None
-    loss = softmax_cross_entropy(model.forward(X), y)
-    loss.backward()
-    grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    return grads, loss.item()
+    if tape is not None:
+        loss_value, grads = tape_loss_and_grads(tape, X, y)
+        return grads, loss_value
+    loss_value = model.compile().loss_and_grad(X, y)
+    return [g.copy() for g in model.unflatten(model.grads_flat)], loss_value
 
 
 def loop_fit(
@@ -46,8 +43,11 @@ def loop_fit(
     X_valid: np.ndarray,
     y_valid: np.ndarray,
     rng: np.random.Generator,
+    gradients: str = "plan",
 ) -> TrainResult:
     """``trainer.fit(...)`` computed with an explicit loop over ranks."""
+    if gradients not in ("plan", "tape"):
+        raise ValueError(f"gradients must be 'plan' or 'tape', got {gradients!r}")
     n = trainer.num_ranks
     bs = trainer.batch_size
     if X_train.shape[0] < n:
@@ -55,7 +55,9 @@ def loop_fit(
     dtype = trainer.dtype or model.dtype
     X_train = np.ascontiguousarray(X_train, dtype=dtype)
     X_valid = np.ascontiguousarray(X_valid, dtype=dtype)
-    plan = model.compile() if trainer.backend == "compiled" else None
+    plan = model.compile()
+    tape = TapeNetwork(model)
+    grad_tape = tape if gradients == "tape" else None
     shards = shard_indices(X_train.shape[0], n, rng)
     steps = max(1, min(len(s) for s in shards) // bs)
 
@@ -64,7 +66,7 @@ def loop_fit(
         if trainer.apply_linear_scaling
         else trainer.learning_rate
     )
-    optimizer = Adam(model.parameters(), lr=scaled_lr)
+    optimizer = Adam(tape.params, lr=scaled_lr)
     warmup = GradualWarmup(optimizer, scaled_lr, trainer.warmup_epochs)
     plateau = ReduceLROnPlateau(optimizer, patience=trainer.plateau_patience)
     reduce_fn = ring_allreduce_reference if trainer.allreduce == "ring" else allreduce_mean
@@ -79,12 +81,12 @@ def loop_fit(
             lo, hi = step * bs, (step + 1) * bs
             if trainer.allreduce == "fused":
                 idx = np.concatenate([order[lo:hi] for order in orders])
-                mean_grads, loss = _rank_gradient(model, X_train[idx], y_train[idx], plan)
+                mean_grads, loss = _rank_gradient(model, grad_tape, X_train[idx], y_train[idx])
             else:
                 per_rank, losses = [], []
                 for order in orders:
                     idx = order[lo:hi]
-                    g, loss_r = _rank_gradient(model, X_train[idx], y_train[idx], plan)
+                    g, loss_r = _rank_gradient(model, grad_tape, X_train[idx], y_train[idx])
                     per_rank.append(g)
                     losses.append(loss_r)
                 mean_grads = reduce_fn(per_rank)
@@ -98,7 +100,8 @@ def loop_fit(
             result.epoch_val_accuracies.append(0.0)
             break
         val_logits = (
-            plan.predict_logits(X_valid) if plan is not None else model.predict_logits(X_valid)
+            plan.predict_logits(X_valid) if grad_tape is None
+            else grad_tape.predict_logits(X_valid)
         )
         val_acc = accuracy(val_logits, y_valid)
         result.epoch_val_accuracies.append(val_acc)

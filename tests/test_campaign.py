@@ -18,6 +18,7 @@ Covers the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.analysis import utilization_summary
 from repro.campaign import (
+    CONFIG_VERSION,
     EVALUATORS,
     EVENT_TYPES,
     SEARCH_METHODS,
@@ -98,7 +100,6 @@ training_configs = st.builds(
     plateau_patience=st.integers(1, 10),
     objective=st.sampled_from(("best", "final")),
     allreduce=st.sampled_from(("ring", "mean", "fused")),
-    backend=st.sampled_from(("compiled", "eager")),
     dtype=st.sampled_from(("float32", "float64")),
     apply_linear_scaling=st.booleans(),
     base_seed=st.integers(0, 1000),
@@ -160,6 +161,53 @@ def test_from_dict_rejects_missing_and_wrong_version():
     data["config_version"] = 99
     with pytest.raises(ValueError, match="version 99"):
         CampaignConfig.from_dict(data)
+
+
+# --------------------------------------------------------------------- #
+# Version-1 configs (written while training.backend existed)
+# --------------------------------------------------------------------- #
+def _version_1(backend: str | None = "compiled") -> dict:
+    data = CampaignConfig().to_dict()
+    data["config_version"] = 1
+    if backend is not None:
+        data["training"]["backend"] = backend
+    return data
+
+
+def test_from_dict_reads_version_1_compiled_configs():
+    assert CONFIG_VERSION == 2
+    assert CampaignConfig.from_dict(_version_1("compiled")) == CampaignConfig()
+    assert CampaignConfig.from_dict(_version_1(None)) == CampaignConfig()
+
+
+def test_from_dict_rejects_version_1_eager_backend():
+    with pytest.raises(ValueError, match="eager"):
+        CampaignConfig.from_dict(_version_1("eager"))
+
+
+def test_from_dict_rejects_backend_key_in_version_2():
+    data = CampaignConfig().to_dict()
+    data["training"]["backend"] = "compiled"
+    with pytest.raises(ValueError, match=r"unknown keys \['backend'\]"):
+        CampaignConfig.from_dict(data)
+
+
+def test_committed_version_1_configs_load():
+    """campbench's workload configs and the config embedded in the pinned
+    half-run checkpoint are version 1; both load unchanged."""
+    root = Path(__file__).resolve().parents[1]
+    workloads = json.loads((root / "campbench" / "workloads.json").read_text())
+    embedded = [w["config"] for w in workloads]
+    checkpoint = json.loads((root / "tests" / "data" / "age_faulty_half.ckpt").read_text())
+    embedded.append(checkpoint["extra"]["campaign"])
+    assert len(embedded) >= 5
+    for data in embedded:
+        if data["evaluator"]["num_workers"] == "nproc":  # resolved per host by campbench
+            data["evaluator"]["num_workers"] = 2
+        assert data["config_version"] == 1
+        assert data["training"]["backend"] == "compiled"
+        config = CampaignConfig.from_dict(data)
+        assert config.to_dict()["config_version"] == CONFIG_VERSION
 
 
 def test_from_dict_rejects_unknown_keys_at_both_levels():
@@ -477,7 +525,7 @@ def test_checkpoint_embeds_versioned_campaign_config(tmp_path):
     build_campaign(config).run()
     data = json.loads(path.read_text())
     embedded = data["extra"]["campaign"]
-    assert embedded["config_version"] == 1
+    assert embedded["config_version"] == CONFIG_VERSION
     assert CampaignConfig.from_dict(embedded) == config
 
 

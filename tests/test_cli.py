@@ -149,6 +149,19 @@ def _resume_in_subprocess(ck) -> subprocess.CompletedProcess:
     )
 
 
+def test_search_rejects_removed_train_backend_flag():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "search", "--dataset", "covertype",
+         "--train-backend", "eager"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "--train-backend" in proc.stderr
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
     ck = tmp_path_factory.mktemp("cli") / "camp.ckpt"

@@ -1,11 +1,13 @@
 """Compiled-plan equivalence: the traced path must match the eager tape.
 
-The compiled plan replays the eager tape's exact op order with fused
-kernels, so losses and gradients should agree to float64 round-off
-(≤ 1e-10, typically exactly 0) — on single steps and over whole
-multi-epoch training runs, for architectures covering every structural
-feature the tracer handles: plain chains, identity ops (slot aliasing),
-multi-source skips and skips into the output node.
+The compiled plan replays the exact op order of the eager tape in
+``tests/reference/`` with fused kernels, so losses and gradients should
+agree to float64 round-off (≤ 1e-10, typically exactly 0) — on single
+steps and over whole multi-epoch training runs (the production trainer
+against the loop reference driven by tape gradients), for architectures
+covering every structural feature the tracer handles: plain chains,
+identity ops (slot aliasing), multi-source skips and skips into the
+output node.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.searchspace import ArchitectureSpace
 
-from tests.reference import assert_plan_equivalence
+from tests.reference import TapeNetwork, assert_plan_equivalence, loop_fit
 
 N_FEATURES = 10
 N_CLASSES = 4
@@ -67,47 +69,48 @@ def test_sampled_architecture_equivalence(seed):
     assert_plan_equivalence(model, X[:128], y[:128], tol=1e-10)
 
 
+def _fit_both(spec, trainer, data, model_seed, fit_seed):
+    """Train twice from one seed: the production trainer, and the loop
+    reference with gradients from the eager tape."""
+    results, weights = {}, {}
+    for path in ("tape", "compiled"):
+        model = GraphNetwork(spec, N_FEATURES, N_CLASSES, np.random.default_rng(model_seed))
+        rng = np.random.default_rng(fit_seed)
+        if path == "tape":
+            results[path] = loop_fit(trainer, model, *data, rng, gradients="tape")
+        else:
+            results[path] = trainer.fit(model, *data, rng)
+        weights[path] = model.get_weights()
+    return results, weights
+
+
 @pytest.mark.parametrize("name", ["identity_ops", "multi_skip"])
 def test_five_epoch_training_equivalence(name):
     """Losses, per-epoch accuracies and final weights match over a full run."""
     X, y = _data(7)
     Xv, yv = _data(8, n=200)
+    trainer = DataParallelTrainer(num_ranks=1, epochs=5, batch_size=64, learning_rate=0.01)
+    results, weights = _fit_both(SPECS[name], trainer, (X, y, Xv, yv), 5, 9)
 
-    results = {}
-    weights = {}
-    for backend in ("eager", "compiled"):
-        model = GraphNetwork(SPECS[name], N_FEATURES, N_CLASSES, np.random.default_rng(5))
-        trainer = DataParallelTrainer(
-            num_ranks=1, epochs=5, batch_size=64, learning_rate=0.01, backend=backend
-        )
-        results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(9))
-        weights[backend] = model.get_weights()
-
-    eager, compiled = results["eager"], results["compiled"]
+    eager, compiled = results["tape"], results["compiled"]
     assert np.allclose(eager.epoch_train_losses, compiled.epoch_train_losses, atol=1e-10, rtol=0)
     assert eager.epoch_val_accuracies == compiled.epoch_val_accuracies
     assert eager.best_val_accuracy == compiled.best_val_accuracy
-    for we, wc in zip(weights["eager"], weights["compiled"]):
+    for we, wc in zip(weights["tape"], weights["compiled"]):
         np.testing.assert_allclose(we, wc, atol=1e-10, rtol=0)
 
 
 def test_dataparallel_backend_parity():
-    """Multi-rank training agrees between backends (per-rank grads are
-    snapshotted out of the plan's reused buffers before reduction)."""
+    """Multi-rank ring training agrees between the production trainer and
+    the per-rank tape loop (chunked-list ring, per-parameter Adam)."""
     X, y = _data(11)
     Xv, yv = _data(12, n=200)
-    results = {}
-    weights = {}
-    for backend in ("eager", "compiled"):
-        model = GraphNetwork(SPECS["multi_skip"], N_FEATURES, N_CLASSES, np.random.default_rng(2))
-        trainer = DataParallelTrainer(
-            num_ranks=2, epochs=3, batch_size=64, learning_rate=0.01,
-            allreduce="ring", backend=backend,
-        )
-        results[backend] = trainer.fit(model, X, y, Xv, yv, np.random.default_rng(3))
-        weights[backend] = model.get_weights()
-    assert results["eager"].epoch_val_accuracies == results["compiled"].epoch_val_accuracies
-    for we, wc in zip(weights["eager"], weights["compiled"]):
+    trainer = DataParallelTrainer(
+        num_ranks=2, epochs=3, batch_size=64, learning_rate=0.01, allreduce="ring"
+    )
+    results, weights = _fit_both(SPECS["multi_skip"], trainer, (X, y, Xv, yv), 2, 3)
+    assert results["tape"].epoch_val_accuracies == results["compiled"].epoch_val_accuracies
+    for we, wc in zip(weights["tape"], weights["compiled"]):
         np.testing.assert_allclose(we, wc, atol=1e-10, rtol=0)
 
 
@@ -120,4 +123,4 @@ def test_compiled_predict_logits_matches_eager():
     model = GraphNetwork(SPECS["skip_to_output"], N_FEATURES, N_CLASSES, np.random.default_rng(4))
     X, _ = _data(13, n=500)
     plan = model.compile()
-    np.testing.assert_array_equal(plan.predict_logits(X), model.predict_logits(X))
+    np.testing.assert_array_equal(plan.predict_logits(X), TapeNetwork(model).predict_logits(X))

@@ -89,7 +89,7 @@ def test_training_learns(rng):
 def test_single_rank_improves_over_initialization(rng):
     X, y = make_blobs(rng)
     net = build()
-    before = accuracy(net.predict_logits(X[300:]), y[300:])
+    before = accuracy(net.compile().predict_logits(X[300:]), y[300:])
     result = DataParallelTrainer(num_ranks=1, epochs=10, batch_size=32, learning_rate=0.01).fit(
         net, X[:300], y[:300], X[300:], y[300:], rng
     )
@@ -116,8 +116,35 @@ def test_single_rank_keep_best_weights_restorable(rng):
     )
     assert result.best_weights is not None
     net.set_weights(result.best_weights)
-    restored = accuracy(net.predict_logits(X[150:]), y[150:])
+    restored = accuracy(net.compile().predict_logits(X[150:]), y[150:])
     np.testing.assert_allclose(restored, result.best_val_accuracy)
+
+
+def test_keep_best_weights_returns_best_epoch_parameters():
+    """best_weights are the parameters after the best epoch: a rerun that
+    stops right after that epoch ends on exactly those arrays."""
+    X, y = make_blobs(np.random.default_rng(21), n=200)
+    X = X + np.random.default_rng(21).normal(size=X.shape) * 3.0  # overlapping blobs
+
+    def train(epochs):
+        net = build(seed=2)
+        trainer = DataParallelTrainer(
+            num_ranks=2, epochs=epochs, batch_size=16, learning_rate=0.05,
+            allreduce="ring", keep_best_weights=True,
+        )
+        return net, trainer.fit(net, X[:150], y[:150], X[150:], y[150:],
+                                np.random.default_rng(22))
+
+    net, result = train(8)
+    best = int(np.argmax(result.epoch_val_accuracies))
+    assert 0 < best < 7  # the run improved, then kept training past its best epoch
+    # The snapshot is not a view of the live parameters.
+    assert not any(np.shares_memory(w, net.params_flat) for w in result.best_weights)
+    assert [w.shape for w in result.best_weights] == [p.shape for p in net.parameters()]
+
+    rerun, _ = train(best + 1)
+    for kept, final in zip(result.best_weights, rerun.get_weights()):
+        np.testing.assert_array_equal(kept, final)
 
 
 def test_single_rank_deterministic_given_seed():

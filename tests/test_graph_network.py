@@ -1,12 +1,20 @@
-"""Unit tests for the skip-connection graph network builder."""
+"""Unit tests for the skip-connection graph network builder.
+
+Forward values and gradients of the graph walk come from the eager tape
+in ``tests/reference/`` (:class:`TapeNetwork`); inference helpers run the
+network's compiled plan.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import GraphNetwork, Tensor
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
+
+from tests.reference.autograd import Tensor
+from tests.reference.tape import TapeNetwork
 
 
 def make_net(node_ops, skips=frozenset(), input_dim=6, n_classes=3, seed=0):
@@ -49,13 +57,13 @@ def test_spec_rejects_out_of_range_skip():
 # --------------------------------------------------------------------- #
 def test_forward_output_shape():
     net = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")])
-    out = net.forward(np.zeros((5, 6)))
+    out = TapeNetwork(net).forward(np.zeros((5, 6)))
     assert out.shape == (5, 3)
 
 
 def test_all_identity_network_is_affine():
     """Identity ops with no skips collapse to a single linear map."""
-    net = make_net([NodeOp(None, None)] * 3)
+    net = TapeNetwork(make_net([NodeOp(None, None)] * 3))
     x = np.random.default_rng(1).normal(size=(10, 6))
     a = net.forward(x).data
     b = net.forward(2.0 * x).data
@@ -81,10 +89,10 @@ def test_param_count_with_skip_projection():
 def test_skip_changes_output():
     """An active skip must alter the function computed."""
     x = np.random.default_rng(2).normal(size=(4, 6))
-    plain = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")], seed=3).forward(x).data
+    plain = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")], seed=3).compile().predict_logits(x)
     skipped = make_net(
         [NodeOp(16, "relu"), NodeOp(8, "tanh")], skips={(0, 2)}, seed=3
-    ).forward(x).data
+    ).compile().predict_logits(x)
     assert not np.allclose(plain, skipped)
 
 
@@ -94,19 +102,22 @@ def test_skip_through_identity_node_width_propagates():
         [NodeOp(16, "relu"), NodeOp(None, None), NodeOp(8, "swish")],
         skips={(0, 3), (1, 4)},
     )
-    out = net.forward(np.zeros((2, 6)))
-    assert out.shape == (2, 3)
+    assert TapeNetwork(net).forward(np.zeros((2, 6))).shape == (2, 3)
+    assert net.compile().predict_logits(np.zeros((2, 6))).shape == (2, 3)
 
 
 def test_skip_into_output_node():
     net = make_net([NodeOp(12, "relu"), NodeOp(12, "relu"), NodeOp(12, "relu")], skips={(1, 4)})
-    assert net.forward(np.zeros((2, 6))).shape == (2, 3)
+    assert TapeNetwork(net).forward(np.zeros((2, 6))).shape == (2, 3)
+    assert net.compile().predict_logits(np.zeros((2, 6))).shape == (2, 3)
 
 
 def test_input_width_mismatch_raises():
     net = make_net([NodeOp(8, "relu")])
     with pytest.raises(ValueError):
-        net.forward(np.zeros((3, 7)))
+        TapeNetwork(net).forward(np.zeros((3, 7)))
+    with pytest.raises(ValueError):
+        net.compile().predict_logits(np.zeros((3, 7)))
 
 
 def test_invalid_dims_raise():
@@ -126,9 +137,9 @@ def test_all_parameters_receive_gradients():
         skips={(0, 2), (0, 3), (1, 4)},
     )
     x = np.random.default_rng(0).normal(size=(8, 6))
-    out = net.forward(x)
-    out.sum().backward()
-    for p in net.parameters():
+    tape = TapeNetwork(net)
+    tape.forward(x).sum().backward()
+    for p in tape.params:
         assert p.grad is not None, f"parameter {p.name} got no gradient"
         assert np.isfinite(p.grad).all()
 
@@ -137,7 +148,7 @@ def test_deterministic_build_per_seed():
     a = make_net([NodeOp(8, "relu")], seed=9)
     b = make_net([NodeOp(8, "relu")], seed=9)
     for pa, pb in zip(a.parameters(), b.parameters()):
-        np.testing.assert_array_equal(pa.data, pb.data)
+        np.testing.assert_array_equal(pa, pb)
 
 
 # --------------------------------------------------------------------- #
@@ -146,34 +157,54 @@ def test_deterministic_build_per_seed():
 def test_predict_logits_batched_matches_full():
     net = make_net([NodeOp(16, "relu")])
     x = np.random.default_rng(4).normal(size=(50, 6))
-    full = net.forward(x).data
-    batched = net.predict_logits(x, batch_size=7)
+    full = TapeNetwork(net).forward(x).data
+    batched = net.compile().predict_logits(x, batch_size=7)
     np.testing.assert_allclose(full, batched, rtol=1e-12)
 
 
 def test_predict_logits_empty_input():
     net = make_net([NodeOp(16, "relu")])
-    out = net.predict_logits(np.zeros((0, 6)))
+    out = net.compile().predict_logits(np.zeros((0, 6)))
     assert out.shape == (0, 3)
 
 
 def test_predict_returns_class_indices():
     net = make_net([NodeOp(16, "relu")])
-    preds = net.predict(np.random.default_rng(5).normal(size=(9, 6)))
+    x = np.random.default_rng(5).normal(size=(9, 6))
+    preds = net.compile().predict_logits(x).argmax(axis=1)
     assert preds.shape == (9,)
     assert set(np.unique(preds)) <= {0, 1, 2}
 
 
 def test_get_set_weights_roundtrip():
     net = make_net([NodeOp(16, "relu"), NodeOp(8, "tanh")], skips={(0, 2)})
+    plan = net.compile()
     x = np.random.default_rng(6).normal(size=(4, 6))
-    before = net.forward(x).data.copy()
+    before = plan.predict_logits(x)
     weights = net.get_weights()
     for p in net.parameters():
-        p.data += 1.0
-    assert not np.allclose(net.forward(x).data, before)
+        p += 1.0
+    assert not np.allclose(plan.predict_logits(x), before)
     net.set_weights(weights)
-    np.testing.assert_allclose(net.forward(x).data, before)
+    np.testing.assert_array_equal(plan.predict_logits(x), before)
+
+
+def test_set_weights_after_compile_is_seen_by_plan():
+    """Loading weights copies into the parameter views; nothing is rebound,
+    so a plan compiled before the load computes with the loaded values."""
+    net = make_net([NodeOp(16, "relu"), NodeOp(8, "swish")], skips={(0, 2)}, seed=1)
+    donor = make_net([NodeOp(16, "relu"), NodeOp(8, "swish")], skips={(0, 2)}, seed=2)
+    plan = net.compile()
+    flat = net.params_flat
+    arrays = net.parameters()
+    x = np.random.default_rng(7).normal(size=(5, 6))
+
+    net.set_weights(donor.get_weights())
+    assert net.params_flat is flat
+    assert all(a is b for a, b in zip(arrays, net.parameters()))
+    assert all(np.shares_memory(p, flat) for p in net.parameters())
+    np.testing.assert_array_equal(flat, donor.params_flat)
+    np.testing.assert_array_equal(plan.predict_logits(x), donor.compile().predict_logits(x))
 
 
 def test_set_weights_shape_mismatch():
@@ -192,5 +223,5 @@ def test_set_weights_length_mismatch():
 
 def test_forward_accepts_tensor_input():
     net = make_net([NodeOp(8, "relu")])
-    out = net.forward(Tensor(np.zeros((2, 6))))
+    out = TapeNetwork(net).forward(Tensor(np.zeros((2, 6))))
     assert out.shape == (2, 3)

@@ -67,7 +67,7 @@ def test_ranked_gradients_match_per_rank_loop(seed, num_ranks):
     for r in range(num_ranks):
         lo, hi = r * bs, (r + 1) * bs
         loss_r = plan.loss_and_grad(X[lo:hi], y[lo:hi])
-        packed = np.concatenate([g.ravel() for g in plan.grad_buffers])
+        packed = model.grads_flat
         assert abs(loss_r - losses[r]) < 1e-10
         np.testing.assert_allclose(rank_grads[r], packed, rtol=0, atol=1e-10)
 
@@ -95,13 +95,20 @@ def test_rank_grad_views_alias_flat_matrix():
 
 
 def test_mean_grad_views_are_double_buffer():
-    """The reduced-mean views alias mean_grad_flat, not the rank matrix."""
-    plan = random_model(2).compile()
+    """The reduced mean lands in the network's gradient vector, whose
+    per-layer views the plan writes and which never aliases the rank matrix."""
+    model = random_model(2)
+    plan = model.compile()
     rank_bufs = plan.rank_buffers_for(2)
-    for view, (o, s, shape) in zip(plan.mean_grad_views, plan.param_segments):
+    assert not np.shares_memory(model.grads_flat, rank_bufs.flat)
+    assert not np.shares_memory(model.grads_flat, model.params_flat)
+    views = model.unflatten(model.grads_flat)
+    for view, (o, s, shape) in zip(views, plan.param_segments):
         assert view.shape == shape
-        assert np.shares_memory(view, plan.mean_grad_flat)
-        assert not np.shares_memory(view, rank_bufs.flat)
+        assert np.shares_memory(view, model.grads_flat[o : o + s])
+    for gW, gb in plan.param_grads.values():
+        assert np.shares_memory(gW, model.grads_flat)
+        assert np.shares_memory(gb, model.grads_flat)
 
 
 # --------------------------------------------------------------------- #
@@ -112,7 +119,7 @@ def test_mean_grad_views_are_double_buffer():
 def test_flat_ring_matches_reference_on_random_architectures(seed, num_ranks):
     """Gradient lists shaped like real sampled models reduce identically."""
     model = random_model(seed % 20, num_nodes=3)
-    shapes = [p.data.shape for p in model.parameters()]
+    shapes = [p.shape for p in model.parameters()]
     rng = np.random.default_rng(seed)
     grads = [[rng.normal(size=s) for s in shapes] for _ in range(num_ranks)]
     fast = ring_allreduce(grads)
@@ -212,8 +219,8 @@ def test_trainer_float32_keeps_adam_dtype_stable(path):
         allreduce="ring", dtype=np.float32,
     )
     fit(path, trainer, model, X[:160], y[:160], X[160:], y[160:], np.random.default_rng(8))
-    for p in model.parameters():
-        assert p.grad is None or p.grad.dtype == model.dtype
+    assert model.params_flat.dtype == model.grads_flat.dtype == model.dtype
+    assert all(p.dtype == model.dtype for p in model.parameters())
 
 
 # --------------------------------------------------------------------- #
@@ -246,24 +253,28 @@ def test_batched_trainer_matches_loop_reference(allreduce, num_ranks):
 
 
 def test_batched_trainer_matches_loop_on_eager_backend():
-    """The eager backend has no batched kernels: the trainer fills the
-    (n, P) matrix rank by rank and must match the list reduction bitwise."""
+    """The trainer's batched ranked pass against the per-rank loop driven
+    by eager-tape gradients, the list ring and the per-parameter Adam."""
     X, y = make_blobs(np.random.default_rng(13), n=300)
 
     def run(path):
         model = random_model(6, d=8, classes=3)
         trainer = DataParallelTrainer(
-            num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005, backend="eager",
+            num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005,
         )
-        result = fit(path, trainer, model, X[:240], y[:240], X[240:], y[240:],
-                     np.random.default_rng(14))
+        args = (X[:240], y[:240], X[240:], y[240:], np.random.default_rng(14))
+        if path == "batched":
+            result = trainer.fit(model, *args)
+        else:
+            result = loop_fit(trainer, model, *args, gradients="tape")
         return result, model.get_weights()
 
     a, wa = run("batched")
-    b, wb = run("loop")
-    assert a.epoch_train_losses == b.epoch_train_losses
+    b, wb = run("tape")
+    np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=0, atol=1e-10)
+    assert a.epoch_val_accuracies == b.epoch_val_accuracies
     for x, z in zip(wa, wb):
-        np.testing.assert_array_equal(x, z)
+        np.testing.assert_allclose(x, z, rtol=0, atol=1e-10)
 
 
 def test_batched_trainer_degenerate_shards_fall_back():

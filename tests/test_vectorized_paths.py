@@ -4,10 +4,10 @@ Covers the three satellite guarantees of the perf work: the batched
 forest walks are bit-identical to the per-row recursive reference (and
 presorted split search grows the exact same trees as per-node argsort;
 both references live in ``tests/reference/forest.py``),
-``no_grad`` stays thread-local so a concurrent inference pass cannot
-disable taping on another thread, and float32 survives end-to-end
-through tensors, networks and compiled plans (no silent float64
-upcasts on the training path).
+the reference tape's ``no_grad`` stays thread-local so a concurrent
+inference pass cannot disable taping on another thread, and float32
+survives end-to-end through tensors, networks and compiled plans (no
+silent float64 upcasts on the training path).
 """
 
 from __future__ import annotations
@@ -18,14 +18,19 @@ import numpy as np
 import pytest
 
 from repro.bo.forest import RandomForestRegressor, RegressionTree
-from repro.nn import GraphNetwork, Tensor, is_grad_enabled, no_grad, softmax_cross_entropy
+from repro.nn import GraphNetwork
 from repro.nn.graph_network import ArchitectureSpec, NodeOp
 
 from tests.reference import (
     ArgsortForest,
     ArgsortTree,
+    TapeNetwork,
+    Tensor,
     forest_predict_reference,
+    is_grad_enabled,
+    no_grad,
     predict_recursive,
+    softmax_cross_entropy,
 )
 
 
@@ -144,21 +149,23 @@ def test_network_and_plan_preserve_float32():
         skips=frozenset({(0, 2), (1, 4)}),
     )
     model = GraphNetwork(spec, 8, 3, np.random.default_rng(0), dtype=np.float32)
-    assert all(p.data.dtype == np.float32 for p in model.parameters())
+    assert all(p.dtype == np.float32 for p in model.parameters())
+    assert model.params_flat.dtype == model.grads_flat.dtype == np.float32
 
     rng = np.random.default_rng(1)
     X = rng.standard_normal((32, 8)).astype(np.float32)
     y = rng.integers(0, 3, size=32)
 
-    logits = model.forward(X)
+    tape = TapeNetwork(model)
+    logits = tape.forward(X)
     assert logits.data.dtype == np.float32
     loss = softmax_cross_entropy(logits, y)
     loss.backward()
-    assert all(p.grad.dtype == np.float32 for p in model.parameters())
+    assert all(p.grad.dtype == np.float32 for p in tape.params)
 
     plan = model.compile()
     plan.loss_and_grad(X, y)
-    assert all(g.dtype == np.float32 for g in plan.grad_buffers)
+    assert all(g.dtype == np.float32 for g in model.unflatten(model.grads_flat))
     assert plan.predict_logits(X).dtype == np.float32
 
 
@@ -168,4 +175,4 @@ def test_float32_initializers_match_float64_draws():
     m64 = GraphNetwork(spec, 8, 3, np.random.default_rng(2), dtype=np.float64)
     m32 = GraphNetwork(spec, 8, 3, np.random.default_rng(2), dtype=np.float32)
     for p64, p32 in zip(m64.parameters(), m32.parameters()):
-        np.testing.assert_array_equal(p64.data.astype(np.float32), p32.data)
+        np.testing.assert_array_equal(p64.astype(np.float32), p32)
