@@ -2,16 +2,16 @@
 
 Times the data-parallel hot path at two granularities — a full
 ``DataParallelTrainer.fit`` step (the per-rank ``loop_fit`` reference vs
-the trainer's batched step) at n ∈ {2, 4, 8} ranks, and the ring
-allreduce alone (chunked-list reference vs the flat-buffer
-:class:`RingReducer`) — and writes the before/after medians to
-``BENCH_dataparallel.json`` at the repo root.
+the trainer's batched step) at n ∈ {2, 4, 8} ranks, and the gradient
+reduction alone (the chunked-list ring reference vs
+:func:`allreduce_mean_flat`, which the ``ring`` mode runs) — and writes
+the before/after medians to ``BENCH_dataparallel.json`` at the repo root.
 
 Timings are recorded, never asserted.  The only way this bench fails is
 the numerical equivalence gate: the trainer must reproduce the loop
-reference's losses and final weights to 1e-10, and the flat ring must
-match the chunked reference on the benched gradient shapes.  The
-references are imported from ``tests/reference/``.
+reference's losses and final weights to 1e-10, and the flat mean must
+match the chunked ring on the benched gradient shapes.  The references
+are imported from ``tests/reference/``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.dataparallel import DataParallelTrainer, RingReducer
+from repro.dataparallel import DataParallelTrainer, allreduce_mean_flat
 from repro.nn import GraphNetwork
 from repro.perf import BenchEntry, median_time, write_bench_json
 from repro.searchspace import ArchitectureSpace
@@ -81,8 +81,7 @@ def test_perf_dataparallel_step_and_ring():
     grads = [p.astype(np.float64) for p in _make_model(5).parameters()]
     per_rank = [[g * (r + 1) for g in grads] for r in range(8)]
     flat, _segments = flatten_gradients(per_rank)
-    reducer = RingReducer(8, flat.shape[1])
-    reduced_flat = reducer.reduce(flat.copy())
+    reduced_flat = allreduce_mean_flat(flat)
     reduced_ref = ring_allreduce_reference(per_rank)
     for (offset, size, shape), ref in zip(_segments, reduced_ref):
         np.testing.assert_allclose(
@@ -105,21 +104,20 @@ def test_perf_dataparallel_step_and_ring():
             )
         )
 
-    # --- ring allreduce alone: chunked-list vs flat-buffer ------------- #
+    # --- gradient reduction alone: chunked-list ring vs flat mean ------ #
     for n in RANK_COUNTS:
         pr = per_rank[:n]
         flat_n, _ = flatten_gradients(pr)
-        reducer_n = RingReducer(n, flat_n.shape[1])
-        work = flat_n.copy()
         sink = np.empty(flat_n.shape[1])
         entries.append(
             BenchEntry(
                 f"ring_allreduce_n{n}",
                 median_time(lambda pr=pr: ring_allreduce_reference(pr), repeats=9),
                 median_time(
-                    lambda r=reducer_n, w=work, s=sink: r.reduce(w, out=s), repeats=9
+                    lambda f=flat_n, s=sink: allreduce_mean_flat(f, out=s), repeats=9
                 ),
-                meta={"num_ranks": n, "num_params": flat_n.shape[1]},
+                meta={"num_ranks": n, "num_params": flat_n.shape[1],
+                      "optimized": "allreduce_mean_flat"},
             )
         )
 

@@ -19,17 +19,35 @@ import numpy as np
 
 from repro.bo.acquisition import upper_confidence_bound
 from repro.bo.forest import RandomForestRegressor
-from repro.bo.liar import constant_lie
+from repro.bo.liar import LIE_STRATEGIES, constant_lie
 from repro.bo.surrogate import KNNSurrogate
+from repro.registry import Registry
 from repro.searchspace.hpspace import HyperparameterSpace
 
-__all__ = ["BayesianOptimizer"]
+__all__ = ["BayesianOptimizer", "SURROGATES"]
 
 # Random candidates scored by UCB per selected configuration.
 CANDIDATE_POOL_SIZE = 500
 # Shape of the surrogate forest refit on every ask.
 FOREST_TREES = 25
 FOREST_MAX_DEPTH = 10
+
+#: Surrogate name -> factory of an unfitted model with ``fit(X, y, rng)``
+#: returning itself and ``predict(X) -> (mu, sigma)``.  A factory that
+#: returns ``None`` means no model: :meth:`BayesianOptimizer.ask` then
+#: samples uniformly.  Register custom surrogates here.
+SURROGATES = Registry("surrogate")
+
+
+@SURROGATES.register("forest")
+def _forest():
+    # Looked up by module-level name on every call, so a benchmark can
+    # swap the forest class in.
+    return RandomForestRegressor(n_trees=FOREST_TREES, max_depth=FOREST_MAX_DEPTH)
+
+
+SURROGATES.register("knn", KNNSurrogate)
+SURROGATES.register("random", lambda: None)
 
 
 class BayesianOptimizer:
@@ -45,10 +63,12 @@ class BayesianOptimizer:
     n_initial_points:
         Observations required before the surrogate is trusted.
     lie_strategy:
-        Constant-liar dummy value policy (paper: ``"mean"``).
+        Constant-liar dummy value policy (paper: ``"mean"``), one of
+        :data:`~repro.bo.liar.LIE_STRATEGIES`.
     surrogate:
-        ``"forest"`` (paper), ``"knn"`` (ablation) or ``"random"``
-        (ablation baseline: :meth:`ask` always samples uniformly).
+        A :data:`SURROGATES` name: ``"forest"`` (paper), ``"knn"``
+        (ablation), ``"random"`` (ablation baseline: :meth:`ask` always
+        samples uniformly) or a custom registration.
     """
 
     def __init__(
@@ -64,16 +84,11 @@ class BayesianOptimizer:
             raise ValueError("kappa must be >= 0")
         if n_initial_points < 1:
             raise ValueError("n_initial_points must be >= 1")
-        if surrogate not in ("forest", "knn", "random"):
-            # Extension point: the campaign layer's surrogate registry can
-            # supply additional surrogates by name.
-            from repro.campaign.registry import SURROGATES
-
-            if surrogate not in SURROGATES:
-                raise ValueError(
-                    f"unknown surrogate {surrogate!r}; built-in: 'forest', 'knn', "
-                    f"'random'; registered: {SURROGATES.names()}"
-                )
+        if lie_strategy not in LIE_STRATEGIES:
+            raise ValueError(
+                f"unknown lie strategy {lie_strategy!r}; expected one of {LIE_STRATEGIES}"
+            )
+        SURROGATES.get(surrogate)  # raises naming the registered surrogates
         self.space = space
         self.kappa = kappa
         self.n_initial_points = n_initial_points
@@ -106,7 +121,11 @@ class BayesianOptimizer:
         if self.space.num_dimensions == 0:
             # Degenerate space (everything fixed): only the defaults exist.
             return [self.space.sample(self._rng) for _ in range(k)]
-        if self.surrogate == "random" or self.num_observations < self.n_initial_points:
+        # The random initialization phase, which a surrogate without a model
+        # ("random") never leaves.
+        make_model = SURROGATES.get(self.surrogate)
+        model = make_model() if self.num_observations >= self.n_initial_points else None
+        if model is None:
             return [self.space.sample(self._rng) for _ in range(k)]
 
         # Observations + room for k lies in one prefilled matrix: each refit
@@ -120,7 +139,7 @@ class BayesianOptimizer:
         lie = constant_lie(y[:n], self.lie_strategy)
         candidates = np.empty((CANDIDATE_POOL_SIZE, d), dtype=float)
         batch: list[dict[str, Any]] = []
-        model = self._fit_surrogate(X[:n], y[:n])
+        model = model.fit(X[:n], y[:n], self._rng)
         for j in range(k):
             for i in range(CANDIDATE_POOL_SIZE):
                 candidates[i] = self.space.sample_array(self._rng)
@@ -133,20 +152,8 @@ class BayesianOptimizer:
             if len(batch) < k:
                 # Refit after every lie (paper behaviour), so the next pick
                 # sees the pending configurations.
-                model = self._fit_surrogate(X[: n + j + 1], y[: n + j + 1])
+                model = make_model().fit(X[: n + j + 1], y[: n + j + 1], self._rng)
         return batch
-
-    def _fit_surrogate(self, X: np.ndarray, y: np.ndarray):
-        if self.surrogate == "knn":
-            return KNNSurrogate().fit(X, y, self._rng)
-        if self.surrogate != "forest":
-            from repro.campaign.registry import SURROGATES
-
-            return SURROGATES.get(self.surrogate)().fit(X, y, self._rng)
-        # Looked up by module-level name on every fit, so a benchmark can
-        # swap the forest class in.
-        forest = RandomForestRegressor(n_trees=FOREST_TREES, max_depth=FOREST_MAX_DEPTH)
-        return forest.fit(X, y, self._rng)
 
     # ------------------------------------------------------------------ #
     # Checkpointing: the tell-history plus the RNG state is the complete

@@ -38,6 +38,7 @@ from repro.campaign.config import (
     TrainingConfig,
 )
 from repro.campaign.events import (
+    EVENT_LOG_VERSION,
     EVENT_TYPES,
     BOTellAsk,
     CacheHit,
@@ -103,6 +104,7 @@ __all__ = [
     "EpochEnd",
     "FaultInjected",
     "CheckpointWritten",
+    "EVENT_LOG_VERSION",
     "EVENT_TYPES",
     "EventBus",
     "JsonlEventLog",

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.bo.forest import RandomForestRegressor
-from repro.bo.surrogate import KNNSurrogate
 from repro.campaign.config import CONFIG_VERSION, CampaignConfig
 from repro.campaign.events import (
     CampaignFinished,
@@ -92,11 +90,6 @@ EVALUATORS.register(
         cache=_make_cache(cfg),
     ),
 )
-
-SURROGATES.register("forest", lambda: RandomForestRegressor(n_trees=25, max_depth=10))
-SURROGATES.register("knn", lambda: KNNSurrogate())
-SURROGATES.register("random", lambda: None)  # handled natively by the optimizer
-
 
 def _build_age(config: CampaignConfig, space, hp_space, evaluator) -> AgE:
     s = config.search

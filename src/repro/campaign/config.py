@@ -33,8 +33,10 @@ __all__ = [
 #: Version of the serialized config layout.  Bump on incompatible changes;
 #: ``from_dict`` refuses other versions with a clear error.  Version 2
 #: dropped ``training.backend``; a version-1 dict still loads when that
-#: key is ``"compiled"`` (the only training path left).
-CONFIG_VERSION = 2
+#: key is ``"compiled"`` (the only training path left).  Version 3 dropped
+#: ``training.allreduce="mean"``; older dicts read it as ``"ring"``, which
+#: computes the same average.
+CONFIG_VERSION = 3
 
 
 def _from_dict(cls, data: Any, context: str):
@@ -77,6 +79,8 @@ class SearchConfig:
     surrogate: str = "forest"
 
     def __post_init__(self) -> None:
+        from repro.bo.liar import LIE_STRATEGIES
+
         if self.population_size < 2:
             raise ValueError("search.population_size must be >= 2")
         if not 1 <= self.sample_size <= self.population_size:
@@ -93,6 +97,11 @@ class SearchConfig:
             raise ValueError("search.kappa must be >= 0")
         if self.n_initial_points < 1:
             raise ValueError("search.n_initial_points must be >= 1")
+        if self.lie_strategy not in LIE_STRATEGIES:
+            raise ValueError(
+                f"unknown search.lie_strategy {self.lie_strategy!r}; "
+                f"expected one of {LIE_STRATEGIES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,10 @@ class TrainingConfig:
             raise ValueError("training.epochs must be >= 1")
         if self.objective not in ("best", "final"):
             raise ValueError(f"training.objective must be 'best' or 'final', got {self.objective!r}")
-        if self.allreduce not in ("ring", "mean", "fused"):
-            raise ValueError(f"unknown training.allreduce {self.allreduce!r}")
+        if self.allreduce not in ("ring", "fused"):
+            raise ValueError(
+                f"unknown training.allreduce {self.allreduce!r}; expected 'ring' or 'fused'"
+            )
         if self.dtype not in ("float32", "float64"):
             raise ValueError(f"training.dtype must be 'float32' or 'float64', got {self.dtype!r}")
 
@@ -262,22 +273,26 @@ class CampaignConfig:
         unsupported ``config_version`` and on unknown keys anywhere in the
         tree (typo protection + forward-compatibility signal).  A
         version-1 dict loads unless its ``training.backend`` is anything
-        but ``"compiled"``.
+        but ``"compiled"``; version-1 and version-2 dicts read
+        ``training.allreduce="mean"`` as ``"ring"``.
         """
         if not isinstance(data, dict):
             raise ValueError(f"campaign config: expected a mapping, got {type(data).__name__}")
         data = dict(data)
         version = data.pop("config_version", None)
-        if version == 1:
+        if version in (1, 2):
             training = data.get("training")
-            if isinstance(training, dict) and "backend" in training:
+            if isinstance(training, dict):
                 data["training"] = training = dict(training)
-                backend = training.pop("backend")
-                if backend != "compiled":
-                    raise ValueError(
-                        f"campaign config: training.backend {backend!r} is no longer "
-                        "supported; the compiled plan is the only training path"
-                    )
+                if version == 1 and "backend" in training:
+                    backend = training.pop("backend")
+                    if backend != "compiled":
+                        raise ValueError(
+                            f"campaign config: training.backend {backend!r} is no longer "
+                            "supported; the compiled plan is the only training path"
+                        )
+                if training.get("allreduce") == "mean":
+                    training["allreduce"] = "ring"
             version = CONFIG_VERSION
         if version != CONFIG_VERSION:
             raise ValueError(

@@ -7,8 +7,9 @@ events, the trainers emit per-epoch events and the fault injector reports
 injected faults.  Subscribers attach to an :class:`EventBus`; three
 built-ins cover the common needs:
 
-- :class:`JsonlEventLog` — append every event to a JSONL file that
-  :func:`load_events` replays into typed events again;
+- :class:`JsonlEventLog` — append every event to a JSONL file, after one
+  header line carrying :data:`EVENT_LOG_VERSION`, that :func:`load_events`
+  checks and replays into typed events again;
 - :class:`ProgressReporter` — human-readable one-liners as the campaign
   advances;
 - :class:`MetricsAggregator` — in-memory utilization / retry / latency
@@ -48,6 +49,7 @@ __all__ = [
     "CacheHit",
     "CacheStore",
     "EVENT_TYPES",
+    "EVENT_LOG_VERSION",
     "EventBus",
     "JsonlEventLog",
     "ProgressReporter",
@@ -274,12 +276,22 @@ class EventBus:
 # --------------------------------------------------------------------- #
 # Built-in subscribers
 # --------------------------------------------------------------------- #
+#: Schema version of the JSONL event log.  Bump when an event's fields
+#: change incompatibly; :func:`load_events` refuses other versions.
+EVENT_LOG_VERSION = 1
+
+
 class JsonlEventLog:
-    """Append every event to a JSONL file (one tagged object per line)."""
+    """Append every event to a JSONL file (one tagged object per line).
+
+    The first line is the header ``{"event_log_version": N}``; it is not
+    an event and is not counted in :attr:`num_events`.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fh = open(self.path, "w")
+        self._fh.write(json.dumps({"event_log_version": EVENT_LOG_VERSION}) + "\n")
         self.num_events = 0
 
     def __call__(self, event: CampaignEvent) -> None:
@@ -301,17 +313,42 @@ class JsonlEventLog:
 
 
 def load_events(path: str | Path) -> list[CampaignEvent]:
-    """Replay a :class:`JsonlEventLog` file into typed events."""
+    """Replay a :class:`JsonlEventLog` file into typed events.
+
+    Raises ``ValueError`` naming ``path`` when the version header is
+    missing or carries a version other than :data:`EVENT_LOG_VERSION`,
+    and naming ``path:line`` for an event line that does not parse (for
+    example the last line of a log cut off mid-write).
+    """
+    lines = Path(path).read_text().splitlines()
+    try:
+        header = json.loads(lines[0]) if lines else None
+    except json.JSONDecodeError:
+        header = None
+    if not isinstance(header, dict) or "event_log_version" not in header:
+        raise ValueError(
+            f"{path}: missing event log header (expected "
+            f'{{"event_log_version": {EVENT_LOG_VERSION}}} on line 1)'
+        )
+    version = header["event_log_version"]
+    if version != EVENT_LOG_VERSION:
+        raise ValueError(
+            f"{path}: unsupported event log version {version!r} "
+            f"(this build reads version {EVENT_LOG_VERSION})"
+        )
     events: list[CampaignEvent] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        row = json.loads(line)
-        name = row.pop("event", None)
-        cls = EVENT_TYPES.get(name)
-        if cls is None:
-            raise ValueError(f"{path}:{lineno}: unknown event type {name!r}")
-        events.append(cls(**row))
+        try:
+            row = json.loads(line)
+            name = row.pop("event", None)
+            cls = EVENT_TYPES.get(name)
+            if cls is None:
+                raise ValueError(f"unknown event type {name!r}")
+            events.append(cls(**row))
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed event: {exc}") from None
     return events
 
 
@@ -453,7 +490,8 @@ class MetricsAggregator:
 
 
 def replay_metrics(path: str | Path) -> MetricsAggregator:
-    """Rebuild campaign metrics by replaying a JSONL event log."""
+    """Rebuild campaign metrics by replaying a JSONL event log (whose
+    version header :func:`load_events` checks)."""
     aggregator = MetricsAggregator()
     for event in load_events(path):
         aggregator(event)

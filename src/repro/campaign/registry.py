@@ -10,65 +10,25 @@ touching either:
   factory; :func:`repro.campaign.resume_campaign` resumes any registered
   method by building it and calling ``search.load_state``);
 - :data:`SURROGATES` — ``name -> () -> surrogate`` with a
-  ``fit(X, y, rng) -> model`` / ``predict(X) -> (mu, sigma)`` interface;
-  :class:`repro.bo.optimizer.BayesianOptimizer` consults this registry
-  for surrogate names it does not know natively.
+  ``fit(X, y, rng) -> model`` / ``predict(X) -> (mu, sigma)`` interface.
+  The table is :data:`repro.bo.optimizer.SURROGATES`, re-exported here;
+  the optimizer validates and fits every surrogate through it.
 
-The built-in entries are registered by :mod:`repro.campaign.builder`
-(imported by the package ``__init__``, so any ``repro.campaign`` import
-sees them).
+The built-in evaluators and search methods are registered by
+:mod:`repro.campaign.builder` (imported by the package ``__init__``, so
+any ``repro.campaign`` import sees them); the built-in surrogates are
+registered where the table is defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Callable
+
+from repro.bo.optimizer import SURROGATES
+from repro.registry import Registry
 
 __all__ = ["Registry", "SearchMethod", "EVALUATORS", "SEARCH_METHODS", "SURROGATES"]
-
-
-class Registry:
-    """A named string-keyed registry with decorator-style registration."""
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._entries: dict[str, Any] = {}
-
-    def register(self, name: str, value: Any = None):
-        """Register ``value`` under ``name``; usable as a decorator."""
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"{self.kind} name must be a non-empty string")
-
-        def _add(obj: Any) -> Any:
-            if name in self._entries and self._entries[name] is not obj:
-                raise ValueError(f"{self.kind} {name!r} is already registered")
-            self._entries[name] = obj
-            return obj
-
-        return _add if value is None else _add(value)
-
-    def get(self, name: str) -> Any:
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown {self.kind} {name!r}; registered: {self.names()}"
-            ) from None
-
-    def names(self) -> list[str]:
-        return sorted(self._entries)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({self.kind!r}, entries={self.names()})"
 
 
 @dataclass(frozen=True)
@@ -87,4 +47,3 @@ class SearchMethod:
 
 EVALUATORS = Registry("evaluator backend")
 SEARCH_METHODS = Registry("search method")
-SURROGATES = Registry("surrogate")

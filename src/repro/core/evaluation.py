@@ -54,8 +54,9 @@ class ModelEvaluation:
         ``"best"`` (max epoch validation accuracy, DeepHyper's default) or
         ``"final"`` (last epoch).
     allreduce:
-        Gradient reduction mode for the data-parallel trainer; ``"fused"``
-        is the fast algebraically equivalent path used by the benches.
+        Gradient reduction mode for the data-parallel trainer: ``"fused"``
+        (one pass over the global batch, used by the benches) or
+        ``"ring"`` (per-rank gradients, averaged).
     dtype:
         Model/array precision, e.g. ``"float32"`` to halve memory traffic
         (default ``"float64"``).
@@ -79,6 +80,8 @@ class ModelEvaluation:
     ) -> None:
         if objective not in ("best", "final"):
             raise ValueError(f"objective must be 'best' or 'final', got {objective!r}")
+        if allreduce not in ("ring", "fused"):
+            raise ValueError(f"allreduce must be 'ring' or 'fused', got {allreduce!r}")
         self.dataset = dataset
         self.space = space
         self.cost_model = cost_model or TrainingCostModel()

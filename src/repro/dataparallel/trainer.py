@@ -1,31 +1,33 @@
 """Synchronous data-parallel training (the Horovod-equivalent loop).
 
 Each epoch, every simulated rank draws micro-batches of ``batch_size`` from
-its own shard; per-rank gradients are averaged by the ring-allreduce and a
-single Adam update is applied with the linearly scaled learning rate
-``n · lr``.  Because all ranks hold identical weights, this is exactly
-synchronous data-parallel SGD — the same algebra Horovod executes across
-real processes — so the accuracy behaviour as a function of ``(n, lr, bs)``
-(including large-effective-batch degradation) emerges for real rather than
-being modelled.
+its own shard; per-rank gradients are averaged, as a ring-allreduce would
+average them, and a single Adam update is applied with the linearly scaled
+learning rate ``n · lr``.  Because all ranks hold identical weights, this
+is exactly synchronous data-parallel SGD — the same algebra Horovod
+executes across real processes — so the accuracy behaviour as a function
+of ``(n, lr, bs)`` (including large-effective-batch degradation) emerges
+for real rather than being modelled.
 
 Each step takes one of three routes to that algebra, by mode and shape:
 
-- ``allreduce="fused"`` (and any single-rank run) computes the averaged
-  gradient in one forward/backward over the concatenated global batch;
-- ``ring``/``mean`` stack the ``n`` micro-batches into one ``(n·bs, d)``
-  array, and a single fused forward/backward recovers *per-rank*
-  gradients directly into an allreduce-ready ``(n, P)`` flat matrix
+- ``allreduce="fused"`` (the default, and any single-rank run) computes
+  the averaged gradient in one forward/backward over the concatenated
+  global batch;
+- ``ring`` stacks the ``n`` micro-batches into one ``(n·bs, d)`` array,
+  and a single fused forward/backward recovers *per-rank* gradients
+  directly into an allreduce-ready ``(n, P)`` flat matrix
   (:meth:`~repro.nn.compiled.CompiledPlan.loss_and_grads_ranked`);
 - shards shorter than one micro-batch have no batched kernel, so each
   rank's gradient is copied into a row of the same ``(n, P)`` matrix
   after its own forward/backward.
 
-The ``(n, P)`` matrix then goes through :class:`RingReducer` (``ring``)
-or :func:`allreduce_mean_flat` (``mean``) into the network's flat
-gradient vector, and Adam updates the flat parameter vector in place.
-The per-rank list reference these paths are gated against lives in
-``tests/reference/``.
+:func:`allreduce_mean_flat` averages the ``(n, P)`` matrix into the
+network's flat gradient vector, and Adam updates the flat parameter vector
+in place.  The ring's communication is not executed: its bytes come from
+:func:`ring_transfer_stats`, as in the cost model.  The per-rank list
+references these paths are gated against, the chunked-list ring among
+them, live in ``tests/reference/``.
 
 With ``num_ranks=1`` the loop is plain single-process training under the
 paper's recipe; the MLP baselines (:mod:`repro.baselines.neural`) train
@@ -38,11 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dataparallel.allreduce import (
-    RingReducer,
-    allreduce_mean_flat,
-    ring_transfer_stats,
-)
+from repro.dataparallel.allreduce import allreduce_mean_flat, ring_transfer_stats
 from repro.dataparallel.scaling import linear_scaled_lr
 from repro.dataparallel.sharding import shard_indices
 from repro.nn.graph_network import GraphNetwork
@@ -76,8 +74,9 @@ class DataParallelTrainer:
         *Per-rank* micro-batch size ``bs_1`` and *base* learning rate
         ``lr_1``; the trainer applies the linear scaling rule internally.
     allreduce:
-        ``"ring"`` runs the simulated ring (default), ``"mean"`` the
-        naive average, ``"fused"`` the concatenated-batch fast path.
+        ``"fused"`` (default) takes one forward/backward over the
+        concatenated global batch; ``"ring"`` computes per-rank gradients
+        and averages them.
     dtype:
         Optional precision override for the training arrays (``None``
         keeps the model's dtype).
@@ -91,7 +90,7 @@ class DataParallelTrainer:
         learning_rate: float = 0.01,
         warmup_epochs: int = 5,
         plateau_patience: int = 5,
-        allreduce: str = "ring",
+        allreduce: str = "fused",
         apply_linear_scaling: bool = True,
         keep_best_weights: bool = False,
         dtype=None,
@@ -102,7 +101,7 @@ class DataParallelTrainer:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if epochs < 0:
             raise ValueError("epochs must be >= 0")
-        if allreduce not in ("ring", "mean", "fused"):
+        if allreduce not in ("ring", "fused"):
             raise ValueError(f"unknown allreduce mode {allreduce!r}")
         self.num_ranks = num_ranks
         self.epochs = epochs
@@ -183,23 +182,17 @@ class DataParallelTrainer:
         num_params = model.num_parameters()
         ring_bytes = ring_transfer_stats(n, num_params * dtype.itemsize).bytes_sent_per_rank
 
-        # ring/mean with several ranks reduce an (n, P) per-rank gradient
+        # ring with several ranks averages an (n, P) per-rank gradient
         # matrix into the model's gradient vector; the fused path (and
         # n = 1) needs no per-rank gradients.
-        reduce = None
-        if n > 1 and self.allreduce != "fused":
-            reduce = (
-                RingReducer(n, num_params).reduce
-                if self.allreduce == "ring"
-                else allreduce_mean_flat
-            )
-        batched = reduce is not None and hoistable
+        per_rank = n > 1 and self.allreduce == "ring"
+        batched = per_rank and hoistable
         if batched:
             # Preallocated stacked micro-batch for the multi-rank pass.
             stacked_rows = n * self.batch_size
             Xb = np.empty((stacked_rows, X_train.shape[1]), dtype=dtype)
             yb = np.empty(stacked_rows, dtype=y_train.dtype)
-        elif reduce is not None:
+        elif per_rank:
             rank_grads = np.empty((n, num_params), dtype=model.dtype)
             losses = np.empty(n)
         if self.keep_best_weights:
@@ -225,7 +218,7 @@ class DataParallelTrainer:
             for step in range(steps):
                 lo = step * self.batch_size
                 hi = lo + self.batch_size
-                if reduce is None:
+                if not per_rank:
                     if epoch_idx is not None:
                         idx = epoch_idx[:, lo:hi].ravel()
                     else:
@@ -243,7 +236,7 @@ class DataParallelTrainer:
                         idx = order[lo:hi]
                         losses[r] = plan.loss_and_grad(X_train[idx], y_train[idx])
                         rank_grads[r] = model.grads_flat
-                reduce(rank_grads, out=model.grads_flat)
+                allreduce_mean_flat(rank_grads, out=model.grads_flat)
                 optimizer.step()
                 epoch_loss += float(np.mean(losses))
             mean_loss = epoch_loss / steps

@@ -29,9 +29,9 @@ A plan also executes in **multi-rank mode** for the data-parallel
 trainer: :meth:`CompiledPlan.loss_and_grads_ranked` runs ``n`` stacked
 micro-batches through one fused forward/backward and recovers the *per
 rank* parameter gradients — batched ``(n, bs, ·)`` matmuls writing
-through column-slice views into an allreduce-ready ``(n, P)`` flat
-matrix (:class:`_RankGradBuffers`).  The reduced mean is written into the
-network's gradient vector, which the optimizer reads.  Each rank's
+through column-slice views into one ``(n, P)`` flat matrix
+(:class:`_RankGradBuffers`), one row per rank.  The trainer averages the
+rows into the network's gradient vector, which the optimizer reads.  Each rank's
 gradients are bitwise identical to ``n`` separate ``loss_and_grad`` calls
 (gated in ``tests/test_rank_vectorized.py``).
 
@@ -314,8 +314,9 @@ class _RankGradBuffers:
 
     Every layer's batched gradients (``(n, d_in, d_out)`` for weights,
     ``(n, d_out)`` for biases) are reshaped column-slice *views* into the
-    flat matrix, so the backward pass writes per-rank gradients directly
-    into allreduce-ready layout — no packing pass, no per-rank copies.
+    flat matrix, so the backward pass writes each rank's gradients directly
+    into its row in ``parameters()`` order — no packing pass, no per-rank
+    copies.
     """
 
     __slots__ = ("flat", "layer_views")
@@ -502,9 +503,9 @@ class CompiledPlan:
         its ``(n, bs, ·)`` reshape over the micro-batch axis only.
 
         Returns ``(losses, rank_grads)``: per-rank mean losses ``(n,)``
-        (float64) and the plan's reused ``(n, P)`` flat gradient matrix in
-        the ring-allreduce packing order.  The matrix is overwritten by the
-        next call; reduce it before then.  ``grads_flat`` is untouched —
+        (float64) and the plan's reused ``(n, P)`` flat gradient matrix,
+        each row in ``parameters()`` order (the layout of ``grads_flat``).
+        The matrix is overwritten by the next call; reduce it before then.  ``grads_flat`` is untouched —
         the caller reduces the matrix into it.
         """
         X = np.ascontiguousarray(X, dtype=self.dtype)

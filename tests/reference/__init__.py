@@ -10,7 +10,6 @@ from tests.reference.allreduce import (
     allreduce_mean,
     flatten_gradients,
     gradient_segments,
-    ring_allreduce,
     ring_allreduce_reference,
 )
 from tests.reference.autograd import Tensor, is_grad_enabled, no_grad
@@ -46,7 +45,6 @@ __all__ = [
     "loop_fit",
     "no_grad",
     "predict_recursive",
-    "ring_allreduce",
     "ring_allreduce_reference",
     "softmax_cross_entropy",
     "tape_loss_and_grads",

@@ -1,22 +1,21 @@
 """List-based allreduce references.
 
-The per-rank gradient-list reductions the flat-buffer kernels in
-:mod:`repro.dataparallel.allreduce` are gated against:
+The per-rank gradient-list reductions that
+:func:`repro.dataparallel.allreduce.allreduce_mean_flat` is gated against:
 
-- :func:`ring_allreduce_reference` — the original chunked-list ring: one
-  Python loop over ranks per round, one ``.copy()`` per send;
-- :func:`ring_allreduce` — packs the lists into an ``(n, P)`` matrix and
-  runs :class:`~repro.dataparallel.allreduce.RingReducer`;
-- :func:`allreduce_mean` — the naive float64 mean in ascending rank order.
+- :func:`ring_allreduce_reference` — the chunked-list Baidu/Horovod ring:
+  one Python loop over ranks per round, one ``.copy()`` per send.  It is
+  the oracle for the claim that the trainer's ``ring`` mode may average
+  by the mean: the two differ only in last-ulp round-off;
+- :func:`allreduce_mean` — the naive float64 mean in ascending rank order,
+  the per-rank list twin of ``allreduce_mean_flat``.
 
-All three accumulate in float64 and cast back to the input dtype.
+Both accumulate in float64 and cast back to the input dtype.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.dataparallel.allreduce import RingReducer
 
 GradientList = list[np.ndarray]
 
@@ -55,13 +54,6 @@ def flatten_gradients(
     return out, segments
 
 
-def _unflatten(flat: np.ndarray, segments: Segments, dtype) -> GradientList:
-    return [
-        flat[offset : offset + size].reshape(shape).astype(dtype)
-        for offset, size, shape in segments
-    ]
-
-
 def allreduce_mean(grads_per_rank: list[GradientList]) -> GradientList:
     """Elementwise mean of aligned gradient lists (the reference reduction).
 
@@ -81,24 +73,6 @@ def allreduce_mean(grads_per_rank: list[GradientList]) -> GradientList:
     return out
 
 
-def ring_allreduce(grads_per_rank: list[GradientList]) -> GradientList:
-    """Average gradients via the vectorized flat-buffer ring.
-
-    Packs the per-rank lists into one ``(n, P)`` float64 matrix, runs
-    :class:`RingReducer`, and unflattens the mean back to the input
-    tensors' shapes and dtype.  Bit-identical to
-    :func:`ring_allreduce_reference` (same chunk bounds, same per-element
-    association order).
-    """
-    flat, segments = flatten_gradients(grads_per_rank)
-    n = len(grads_per_rank)
-    dtype = grads_per_rank[0][0].dtype if grads_per_rank[0] else np.float64
-    if n == 1:
-        return [g.copy() for g in grads_per_rank[0]]
-    mean = RingReducer(n, flat.shape[1]).reduce(flat)
-    return _unflatten(mean, segments, dtype)
-
-
 def ring_allreduce_reference(grads_per_rank: list[GradientList]) -> GradientList:
     """Average gradients via an explicit chunked-list simulated ring.
 
@@ -108,8 +82,7 @@ def ring_allreduce_reference(grads_per_rank: list[GradientList]) -> GradientList
     ``n-1`` allgather rounds circulating the fully reduced chunks.  The
     mean (sum / n) is computed chunk-wise, then unflattened.
 
-    This is the readable reference :func:`ring_allreduce` (and the flat
-    :class:`RingReducer` under it) is gated against.
+    The production mean is gated against this readable ring.
     """
     _check_alignment(grads_per_rank)
     n = len(grads_per_rank)

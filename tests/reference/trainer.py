@@ -1,14 +1,16 @@
 """Per-rank loop reference of :meth:`DataParallelTrainer.fit`.
 
 :func:`loop_fit` runs the trainer's recipe the way the data-parallel
-algebra reads on paper: every rank runs its own forward/backward on its
-own micro-batch, the per-rank gradient lists are averaged by the
-chunked-list ring (or the naive mean), and one Adam update follows.  The
-``fused`` mode takes one forward/backward over the concatenated global
-batch.  Gradients come from the compiled plan (``gradients="plan"``) or
-from the eager tape (``gradients="tape"``), and the update is the
-per-parameter reference Adam.  The production trainer's batched and
-flat-buffer paths are gated against this loop; it emits no events.
+algebra reads on paper: in ``ring`` mode every rank runs its own
+forward/backward on its own micro-batch, the per-rank gradient lists are
+averaged (by the naive mean, as production does, or by any list
+reduction passed as ``reduce_fn``, such as the chunked-list ring), and
+one Adam update follows.  The ``fused`` mode takes one forward/backward
+over the concatenated global batch.  Gradients come from the compiled
+plan (``gradients="plan"``) or from the eager tape (``gradients="tape"``),
+and the update is the per-parameter reference Adam.  The production
+trainer's batched and flat-buffer paths are gated against this loop; it
+emits no events.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.dataparallel.sharding import shard_indices
 from repro.nn.metrics import accuracy
 from repro.nn.schedules import GradualWarmup, ReduceLROnPlateau
 
-from tests.reference.allreduce import allreduce_mean, ring_allreduce_reference
+from tests.reference.allreduce import allreduce_mean
 from tests.reference.optimizers import Adam
 from tests.reference.tape import TapeNetwork, tape_loss_and_grads
 
@@ -44,6 +46,7 @@ def loop_fit(
     y_valid: np.ndarray,
     rng: np.random.Generator,
     gradients: str = "plan",
+    reduce_fn=allreduce_mean,
 ) -> TrainResult:
     """``trainer.fit(...)`` computed with an explicit loop over ranks."""
     if gradients not in ("plan", "tape"):
@@ -69,7 +72,6 @@ def loop_fit(
     optimizer = Adam(tape.params, lr=scaled_lr)
     warmup = GradualWarmup(optimizer, scaled_lr, trainer.warmup_epochs)
     plateau = ReduceLROnPlateau(optimizer, patience=trainer.plateau_patience)
-    reduce_fn = ring_allreduce_reference if trainer.allreduce == "ring" else allreduce_mean
 
     result = TrainResult(best_val_accuracy=-np.inf, final_val_accuracy=0.0)
     best_acc = -np.inf

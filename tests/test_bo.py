@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.bo import (
     BayesianOptimizer,
     RandomForestRegressor,
@@ -14,6 +20,7 @@ from repro.bo import (
     constant_lie,
     upper_confidence_bound,
 )
+from repro.bo.liar import LIE_STRATEGIES
 from repro.searchspace import default_dataparallel_space
 
 
@@ -235,3 +242,36 @@ def test_optimizer_parameter_validation():
     opt = BayesianOptimizer(space)
     with pytest.raises(ValueError):
         opt.ask(0)
+
+
+def test_optimizer_rejects_unknown_lie_strategy_at_construction():
+    """A bad lie strategy fails when the optimizer is built, not at the
+    first surrogate ask after the initial random points."""
+    space = default_dataparallel_space()
+    with pytest.raises(ValueError, match="lie strategy 'bogus'"):
+        BayesianOptimizer(space, lie_strategy="bogus")
+    for strategy in LIE_STRATEGIES:
+        assert BayesianOptimizer(space, lie_strategy=strategy).lie_strategy == strategy
+
+
+def test_surrogate_table_lives_in_bo_without_importing_campaign():
+    """``repro.bo`` owns the surrogate table; importing it pulls in no
+    campaign module, and the campaign layer re-exports the same table."""
+    code = (
+        "import sys, repro.bo; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.campaign')))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+    from repro.bo import SURROGATES
+    from repro.campaign import SURROGATES as campaign_surrogates
+
+    assert campaign_surrogates is SURROGATES
+    assert {"forest", "knn", "random"} <= set(SURROGATES.names())
+    assert SURROGATES.get("random")() is None  # no model: ask samples uniformly
+    with pytest.raises(ValueError, match="unknown surrogate 'gp'"):
+        BayesianOptimizer(space=default_dataparallel_space(), surrogate="gp")

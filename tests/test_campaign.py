@@ -18,6 +18,7 @@ Covers the PR's acceptance criteria:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,7 @@ from repro.analysis import utilization_summary
 from repro.campaign import (
     CONFIG_VERSION,
     EVALUATORS,
+    EVENT_LOG_VERSION,
     EVENT_TYPES,
     SEARCH_METHODS,
     SURROGATES,
@@ -99,7 +101,7 @@ training_configs = st.builds(
     warmup_epochs=st.integers(0, 10),
     plateau_patience=st.integers(1, 10),
     objective=st.sampled_from(("best", "final")),
-    allreduce=st.sampled_from(("ring", "mean", "fused")),
+    allreduce=st.sampled_from(("ring", "fused")),
     dtype=st.sampled_from(("float32", "float64")),
     apply_linear_scaling=st.booleans(),
     base_seed=st.integers(0, 1000),
@@ -175,7 +177,7 @@ def _version_1(backend: str | None = "compiled") -> dict:
 
 
 def test_from_dict_reads_version_1_compiled_configs():
-    assert CONFIG_VERSION == 2
+    assert CONFIG_VERSION == 3
     assert CampaignConfig.from_dict(_version_1("compiled")) == CampaignConfig()
     assert CampaignConfig.from_dict(_version_1(None)) == CampaignConfig()
 
@@ -186,9 +188,36 @@ def test_from_dict_rejects_version_1_eager_backend():
 
 
 def test_from_dict_rejects_backend_key_in_version_2():
+    for version in (2, CONFIG_VERSION):
+        data = CampaignConfig().to_dict()
+        data["config_version"] = version
+        data["training"]["backend"] = "compiled"
+        with pytest.raises(ValueError, match=r"unknown keys \['backend'\]"):
+            CampaignConfig.from_dict(data)
+
+
+# --------------------------------------------------------------------- #
+# Version-1/2 configs (written while training.allreduce="mean" existed)
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("version", [1, 2])
+def test_from_dict_reads_mean_allreduce_as_ring_before_version_3(version):
+    data = _version_1() if version == 1 else CampaignConfig().to_dict()
+    data["config_version"] = version
+    data["training"]["allreduce"] = "mean"
+    config = CampaignConfig.from_dict(data)
+    assert config.training.allreduce == "ring"
+    assert config == CampaignConfig(training=TrainingConfig(allreduce="ring"))
+    assert data["training"]["allreduce"] == "mean"  # the caller's dict is untouched
+    for mode in ("ring", "fused"):
+        data["training"]["allreduce"] = mode
+        assert CampaignConfig.from_dict(data).training.allreduce == mode
+
+
+def test_from_dict_rejects_mean_allreduce_in_version_3():
     data = CampaignConfig().to_dict()
-    data["training"]["backend"] = "compiled"
-    with pytest.raises(ValueError, match=r"unknown keys \['backend'\]"):
+    assert data["config_version"] == 3
+    data["training"]["allreduce"] = "mean"
+    with pytest.raises(ValueError, match="training.allreduce 'mean'"):
         CampaignConfig.from_dict(data)
 
 
@@ -238,6 +267,8 @@ def test_from_dict_rejects_unknown_keys_at_both_levels():
         lambda: SearchConfig(batch_size=-4),
         lambda: SearchConfig(learning_rate=0.0),
         lambda: SearchConfig(learning_rate=-1.0),
+        lambda: SearchConfig(lie_strategy="median"),
+        lambda: TrainingConfig(allreduce="mean"),
     ],
 )
 def test_invalid_configs_fail_at_definition_time(make):
@@ -351,7 +382,50 @@ def test_event_round_trip_through_jsonl(tmp_path):
     with JsonlEventLog(path) as log:
         for event in events:
             log(event)
+    assert log.num_events == len(events)
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"event_log_version": EVENT_LOG_VERSION}
+    assert len(lines) == 1 + len(events)
     assert load_events(path) == events
+
+
+def _write_log(path, header) -> None:
+    event = CampaignStarted(method="AgE", dataset="covertype", num_workers=2)
+    rows = ([] if header is None else [header]) + [event.to_dict()]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("replay", [load_events, replay_metrics])
+def test_event_log_without_header_is_rejected(tmp_path, replay):
+    path = tmp_path / "old.jsonl"
+    _write_log(path, header=None)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: missing event log header")):
+        replay(path)
+    for text in ("", "not json\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="missing event log header"):
+            replay(path)
+
+
+def test_event_log_cut_off_mid_line_names_the_line(tmp_path):
+    path = tmp_path / "cut.jsonl"
+    _write_log(path, header={"event_log_version": EVENT_LOG_VERSION})
+    path.write_text(path.read_text() + '{"event": "CampaignFinished", "num_ev')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed event")):
+        load_events(path)
+    path.write_text(path.read_text().rsplit("\n", 1)[0] + '\n{"event": "Bogus"}\n')
+    with pytest.raises(ValueError, match="unknown event type 'Bogus'"):
+        load_events(path)
+
+
+@pytest.mark.parametrize("replay", [load_events, replay_metrics])
+def test_event_log_with_unknown_version_is_rejected(tmp_path, replay):
+    path = tmp_path / "future.jsonl"
+    _write_log(path, header={"event_log_version": EVENT_LOG_VERSION + 1})
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported event log version 2")):
+        replay(path)
+    _write_log(path, header={"event_log_version": EVENT_LOG_VERSION})
+    assert [type(e).__name__ for e in load_events(path)] == ["CampaignStarted"]
 
 
 def test_campaign_event_stream_reproduces_utilization(tmp_path):

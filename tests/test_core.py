@@ -170,6 +170,14 @@ def test_evaluation_objective_mode_validation(tiny_covertype):
         ModelEvaluation(tiny_covertype, space, objective="median")
 
 
+def test_evaluation_allreduce_mode_validation(tiny_covertype):
+    space = ArchitectureSpace(num_nodes=2)
+    for mode in ("ring", "fused"):
+        assert ModelEvaluation(tiny_covertype, space, allreduce=mode).allreduce == mode
+    with pytest.raises(ValueError, match="mean"):
+        ModelEvaluation(tiny_covertype, space, allreduce="mean")
+
+
 def test_evaluation_final_objective_mode(tiny_covertype):
     space = ArchitectureSpace(num_nodes=2)
     run = ModelEvaluation(tiny_covertype, space, epochs=3, objective="final")

@@ -15,7 +15,7 @@ from repro.dataparallel import (
     shard_indices,
 )
 
-from tests.reference import allreduce_mean, ring_allreduce
+from tests.reference import allreduce_mean, ring_allreduce_reference
 
 
 # --------------------------------------------------------------------- #
@@ -62,7 +62,7 @@ def test_ring_equals_mean(ranks, seed):
         [rng.normal(size=(4, 3)), rng.normal(size=(3,)), rng.normal(size=(3, 2))]
         for _ in range(ranks)
     ]
-    ring = ring_allreduce(grads)
+    ring = ring_allreduce_reference(grads)
     mean = allreduce_mean(grads)
     for a, b in zip(ring, mean):
         np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
@@ -72,14 +72,14 @@ def test_allreduce_single_rank_is_identity():
     g = [np.arange(6.0).reshape(2, 3)]
     out = allreduce_mean([g])
     np.testing.assert_array_equal(out[0], g[0])
-    out_ring = ring_allreduce([g])
+    out_ring = ring_allreduce_reference([g])
     np.testing.assert_array_equal(out_ring[0], g[0])
 
 
 def test_allreduce_preserves_shapes():
     rng = np.random.default_rng(0)
     grads = [[rng.normal(size=(5, 7)), rng.normal(size=(7,))] for _ in range(3)]
-    out = ring_allreduce(grads)
+    out = ring_allreduce_reference(grads)
     assert out[0].shape == (5, 7) and out[1].shape == (7,)
 
 
@@ -89,7 +89,7 @@ def test_allreduce_alignment_checks():
     with pytest.raises(ValueError):
         allreduce_mean([a, b])
     with pytest.raises(ValueError):
-        ring_allreduce([a, a + [np.zeros(1)]])
+        ring_allreduce_reference([a, a + [np.zeros(1)]])
     with pytest.raises(ValueError):
         allreduce_mean([])
 

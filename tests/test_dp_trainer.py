@@ -15,6 +15,7 @@ from repro.nn.graph_network import ArchitectureSpec, NodeOp
 from repro.nn.metrics import accuracy
 
 from conftest import make_blobs
+from tests.reference import loop_fit, ring_allreduce_reference
 
 
 def build(seed=0, d=8, classes=3):
@@ -23,17 +24,17 @@ def build(seed=0, d=8, classes=3):
 
 
 def test_ring_and_mean_paths_agree(rng):
-    """Identical seeds: ring and naive-mean allreduce give the same run."""
+    """Identical seeds: the ``ring`` mode, which averages by the mean, and
+    a run reduced by the chunked-list ring give the same run."""
     X, y = make_blobs(np.random.default_rng(0), n=400)
+    trainer = DataParallelTrainer(
+        num_ranks=4, epochs=3, batch_size=16, learning_rate=0.005, allreduce="ring"
+    )
+    args = (X[:320], y[:320], X[320:], y[320:])
 
-    def run(mode):
-        net = build(seed=3)
-        return DataParallelTrainer(
-            num_ranks=4, epochs=3, batch_size=16, learning_rate=0.005, allreduce=mode
-        ).fit(net, X[:320], y[:320], X[320:], y[320:], np.random.default_rng(9))
-
-    a = run("ring")
-    b = run("mean")
+    a = trainer.fit(build(seed=3), *args, np.random.default_rng(9))
+    b = loop_fit(trainer, build(seed=3), *args, np.random.default_rng(9),
+                 reduce_fn=ring_allreduce_reference)
     np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=1e-8)
     np.testing.assert_array_equal(a.epoch_val_accuracies, b.epoch_val_accuracies)
 
@@ -49,7 +50,7 @@ def test_fused_path_matches_per_rank(rng):
         ).fit(net, X[:320], y[:320], X[320:], y[320:], np.random.default_rng(4))
 
     a = run("fused")
-    b = run("mean")
+    b = run("ring")
     np.testing.assert_allclose(a.epoch_train_losses, b.epoch_train_losses, rtol=1e-6)
 
 
@@ -190,6 +191,8 @@ def test_constructor_validation():
         DataParallelTrainer(num_ranks=0)
     with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=1, allreduce="tree")
+    with pytest.raises(ValueError):
+        DataParallelTrainer(num_ranks=1, allreduce="mean")  # removed; "ring" averages
     with pytest.raises(ValueError):
         DataParallelTrainer(num_ranks=1, batch_size=0)
     with pytest.raises(ValueError):

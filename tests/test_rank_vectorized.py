@@ -4,16 +4,19 @@ Three layers are pinned to their references:
 
 1. :meth:`CompiledPlan.loss_and_grads_ranked` (one fused multi-rank pass)
    against a loop of per-rank :meth:`CompiledPlan.loss_and_grad` calls;
-2. the flat-buffer :class:`RingReducer` (through ``ring_allreduce``)
+2. :func:`allreduce_mean_flat`, the reduction the ``ring`` mode runs,
    against the chunked-list ``ring_allreduce_reference`` and the naive
-   mean, under adversarial shapes (``n`` not dividing the flattened
-   parameter count, tensors smaller than ``n``, the ``n = 1`` fast path);
+   list mean, under adversarial shapes (``n`` not dividing the flattened
+   parameter count, tensors smaller than ``n``, the ``n = 1`` fast path).
+   This is the evidence that ``ring`` may average by the mean: the two
+   differ only in round-off;
 3. ``DataParallelTrainer.fit`` against the per-rank ``loop_fit``
-   reference over full multi-epoch runs.
+   reference over full multi-epoch runs, reduced by the list mean and by
+   the list ring.
 
 The references live in ``tests/reference/``.
 
-All gates are 1e-10 or tighter; in practice the paths agree bitwise.
+All gates are 1e-10 or tighter; the mean paths agree bitwise.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataparallel import DataParallelTrainer, RingReducer, allreduce_mean_flat
+from repro.dataparallel import DataParallelTrainer, allreduce_mean_flat
 from repro.nn.graph_network import GraphNetwork
 from repro.searchspace import ArchitectureSpace
 
@@ -33,7 +36,6 @@ from tests.reference import (
     flatten_gradients,
     gradient_segments,
     loop_fit,
-    ring_allreduce,
     ring_allreduce_reference,
 )
 
@@ -112,8 +114,15 @@ def test_mean_grad_views_are_double_buffer():
 
 
 # --------------------------------------------------------------------- #
-# 2. Flat ring vs chunked-list reference vs mean — adversarial shapes
+# 2. Flat mean vs chunked-list ring vs list mean — adversarial shapes
 # --------------------------------------------------------------------- #
+def flat_mean(grads):
+    """``allreduce_mean_flat`` over packed per-rank lists, unpacked again."""
+    flat, segments = flatten_gradients(grads)
+    mean = allreduce_mean_flat(flat)
+    return [mean[o : o + size].reshape(shape) for o, size, shape in segments]
+
+
 @given(seed=st.integers(0, 200), num_ranks=st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_flat_ring_matches_reference_on_random_architectures(seed, num_ranks):
@@ -122,12 +131,12 @@ def test_flat_ring_matches_reference_on_random_architectures(seed, num_ranks):
     shapes = [p.shape for p in model.parameters()]
     rng = np.random.default_rng(seed)
     grads = [[rng.normal(size=s) for s in shapes] for _ in range(num_ranks)]
-    fast = ring_allreduce(grads)
-    ref = ring_allreduce_reference(grads)
+    fast = flat_mean(grads)
+    ring = ring_allreduce_reference(grads)
     mean = allreduce_mean(grads)
-    for a, b, c in zip(fast, ref, mean):
+    for a, b, c in zip(fast, ring, mean):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(a, c, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(a, c)
 
 
 @pytest.mark.parametrize(
@@ -143,28 +152,25 @@ def test_flat_ring_matches_reference_on_random_architectures(seed, num_ranks):
 def test_flat_ring_adversarial_shapes(shapes, num_ranks):
     rng = np.random.default_rng(99)
     grads = [[rng.normal(size=s) for s in shapes] for _ in range(num_ranks)]
-    fast = ring_allreduce(grads)
-    ref = ring_allreduce_reference(grads)
+    fast = flat_mean(grads)
+    ring = ring_allreduce_reference(grads)
     mean = allreduce_mean(grads)
-    for a, b, c in zip(fast, ref, mean):
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(a, c, rtol=1e-10, atol=1e-12)
+    for a, b, c in zip(fast, ring, mean):
+        np.testing.assert_array_equal(a, c)
+        np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-12)
 
 
-def test_ring_reducer_reuse_and_validation():
+def test_allreduce_mean_flat_reuse_and_validation():
     rng = np.random.default_rng(3)
     flat = rng.normal(size=(4, 11))
-    reducer = RingReducer(4, 11)
     out = np.empty(11)
-    for _ in range(3):  # workspace reuse must not leak state across calls
-        reducer.reduce(flat, out=out)
+    for _ in range(3):  # writing into a reused ``out`` must not accumulate
+        assert allreduce_mean_flat(flat, out=out) is out
         np.testing.assert_allclose(out, flat.mean(axis=0), rtol=1e-12)
     with pytest.raises(ValueError):
-        reducer.reduce(rng.normal(size=(3, 11)))
+        allreduce_mean_flat(rng.normal(size=11))
     with pytest.raises(ValueError):
-        RingReducer(0, 5)
-    with pytest.raises(ValueError):
-        RingReducer(2, 0)
+        allreduce_mean_flat(np.empty((0, 11)))
 
 
 def test_allreduce_mean_flat_matches_list_mean():
@@ -181,7 +187,7 @@ def test_allreduce_mean_flat_matches_list_mean():
 # --------------------------------------------------------------------- #
 # 3. Dtype stability (float32 must not silently upcast)
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("reduce_fn", [allreduce_mean, ring_allreduce, ring_allreduce_reference])
+@pytest.mark.parametrize("reduce_fn", [allreduce_mean, ring_allreduce_reference])
 def test_reductions_preserve_float32(reduce_fn):
     rng = np.random.default_rng(5)
     grads = [
@@ -199,14 +205,14 @@ def test_flat_reductions_preserve_float32():
     rng = np.random.default_rng(6)
     flat = rng.normal(size=(4, 9)).astype(np.float32)
     assert allreduce_mean_flat(flat).dtype == np.float32
-    assert RingReducer(4, 9).reduce(flat).dtype == np.float32
+    assert allreduce_mean_flat(flat.astype(np.float64)).dtype == np.float64
 
 
-def fit(path: str, trainer: DataParallelTrainer, model, *args):
+def fit(path: str, trainer: DataParallelTrainer, model, *args, **loop_kwargs):
     """``trainer.fit`` (``path="batched"``) or the per-rank ``loop_fit``."""
     if path == "batched":
         return trainer.fit(model, *args)
-    return loop_fit(trainer, model, *args)
+    return loop_fit(trainer, model, *args, **loop_kwargs)
 
 
 @pytest.mark.parametrize("path", ["batched", "loop"])
@@ -226,9 +232,14 @@ def test_trainer_float32_keeps_adam_dtype_stable(path):
 # --------------------------------------------------------------------- #
 # 4. DataParallelTrainer vs the per-rank loop reference
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("allreduce", ["ring", "mean"])
+# The loop reference reduces its per-rank lists by the list mean (what
+# the trainer's ``ring`` mode computes) or by the chunked-list ring.
+LOOP_REDUCTIONS = {"mean": allreduce_mean, "ring": ring_allreduce_reference}
+
+
+@pytest.mark.parametrize("reduction", ["ring", "mean"])
 @pytest.mark.parametrize("num_ranks", [1, 2, 4, 8])
-def test_batched_trainer_matches_loop_reference(allreduce, num_ranks):
+def test_batched_trainer_matches_loop_reference(reduction, num_ranks):
     """Multi-epoch runs agree on losses, accuracies and final weights."""
     X, y = make_blobs(np.random.default_rng(10), n=600)
 
@@ -236,10 +247,10 @@ def test_batched_trainer_matches_loop_reference(allreduce, num_ranks):
         model = random_model(5, d=8, classes=3)
         trainer = DataParallelTrainer(
             num_ranks=num_ranks, epochs=4, batch_size=16, learning_rate=0.005,
-            allreduce=allreduce,
+            allreduce="ring",
         )
         result = fit(path, trainer, model, X[:480], y[:480], X[480:], y[480:],
-                     np.random.default_rng(12))
+                     np.random.default_rng(12), reduce_fn=LOOP_REDUCTIONS[reduction])
         return result, model.get_weights()
 
     batched, w_batched = run("batched")
@@ -254,13 +265,13 @@ def test_batched_trainer_matches_loop_reference(allreduce, num_ranks):
 
 def test_batched_trainer_matches_loop_on_eager_backend():
     """The trainer's batched ranked pass against the per-rank loop driven
-    by eager-tape gradients, the list ring and the per-parameter Adam."""
+    by eager-tape gradients, the list mean and the per-parameter Adam."""
     X, y = make_blobs(np.random.default_rng(13), n=300)
 
     def run(path):
         model = random_model(6, d=8, classes=3)
         trainer = DataParallelTrainer(
-            num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005,
+            num_ranks=2, epochs=2, batch_size=16, learning_rate=0.005, allreduce="ring",
         )
         args = (X[:240], y[:240], X[240:], y[240:], np.random.default_rng(14))
         if path == "batched":
@@ -284,7 +295,7 @@ def test_batched_trainer_degenerate_shards_fall_back():
     def run(path):
         model = random_model(7, d=8, classes=3)
         trainer = DataParallelTrainer(
-            num_ranks=4, epochs=2, batch_size=32, learning_rate=0.005,
+            num_ranks=4, epochs=2, batch_size=32, learning_rate=0.005, allreduce="ring",
         )
         return fit(path, trainer, model, X[:48], y[:48], X[48:], y[48:],
                    np.random.default_rng(16))
